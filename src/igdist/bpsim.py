@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PopulationCapError, SimulationError, ValidationError
+from .graphgen import sample_family_subsets
 from .model import ModelParams, SpectralData, validate_params
 from .seeding import derive_seed
 
@@ -116,19 +117,6 @@ class LabeledForest:
                 return steps // 2
             frontier = nxt
         return math.inf
-
-    def intersection_edges(self) -> set[tuple[int, int]]:
-        """Vertex pairs joined through a shared object index-node."""
-        by_object: dict[int, list[int]] = {}
-        for v, o in zip(self.edges_v, self.edges_o):
-            by_object.setdefault(int(o), []).append(int(v))
-        out = set()
-        for verts in by_object.values():
-            verts = sorted(set(verts))
-            for i in range(len(verts)):
-                for j in range(i + 1, len(verts)):
-                    out.add((verts[i], verts[j]))
-        return out
 
 
 def _check_cap(count: int, cap: int, generation: int) -> None:
@@ -308,6 +296,10 @@ def extinction_frequency(
     generations exactly would overflow any budget.
     """
     validate_params(p)
+    if not 0 <= start_type < p.K:
+        raise ValidationError(f"invalid vertex type {start_type}")
+    if reps < 1:
+        raise ValidationError("reps must be >= 1")
     extinct = 0
     for r in range(reps):
         rng = np.random.default_rng(derive_seed(seed, "extinction", r))
@@ -357,33 +349,6 @@ def conditioned_w_pool(
                 f"survival too rare: {len(values)}/{attempts} accepted"
             )
     return np.asarray(values)
-
-
-def _assign_indices(rng, fam: np.ndarray, universe: int) -> np.ndarray:
-    """Uniform distinct indices within each family, batched.
-
-    Each pending slot redraws uniformly until free; earlier slots win
-    intra-round ties.  Conditional on the accepted set, every accepted
-    value is uniform over its family's unused indices, so the family's
-    final index set is a uniform subset, exactly as if filled one draw
-    at a time.
-    """
-    total = len(fam)
-    vals = np.empty(total, dtype=np.int64)
-    pending = np.arange(total)
-    accepted_keys = np.empty(0, dtype=np.int64)
-    while pending.size:
-        cand = rng.integers(0, universe, size=pending.size)
-        key = fam[pending] * universe + cand
-        dup_old = np.isin(key, accepted_keys)
-        first = np.zeros(pending.size, dtype=bool)
-        _, first_pos = np.unique(key, return_index=True)
-        first[first_pos] = True
-        keep = first & ~dup_old
-        vals[pending[keep]] = cand[keep]
-        accepted_keys = np.concatenate([accepted_keys, key[keep]])
-        pending = pending[~keep]
-    return vals
 
 
 def labeled_growth(
@@ -471,7 +436,7 @@ def labeled_growth(
             if total == 0:
                 continue
             fam = np.repeat(np.arange(parent_sel.size), counts)
-            ix = _assign_indices(rng, fam, universe)
+            ix = sample_family_subsets(rng, fam, universe)
             pcls = par_classes[fam]
 
             cls = np.zeros(total, dtype=np.int8)

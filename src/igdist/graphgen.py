@@ -27,8 +27,8 @@ def sample_subset(
     `buf` may hold any permutation of range(universe) and is left
     permuted; passing it back in amortizes allocation without biasing
     the draw, since every step samples uniformly from the unchosen
-    suffix.  This is the one audited subset primitive shared by the
-    graph sampler and the coincidence Monte Carlo.
+    suffix.  Meant for many tiny draws, as in the coincidence Monte
+    Carlo; batched draws go through `sample_family_subsets`.
     """
     if buf is None:
         buf = np.arange(universe, dtype=np.int64)
@@ -40,39 +40,128 @@ def sample_subset(
     return out
 
 
-@dataclass
-class BipartiteGraph:
-    """Sampled vertex-object adjacency.
+def sample_family_subsets(rng, fam: np.ndarray, universe: int) -> np.ndarray:
+    """Uniform distinct indices within each family, batched.
 
-    Vertices and objects use global 0-based ids; `vertex_type_of` /
-    `object_type_of` recover the per-type split.
+    `fam` labels each slot with its family; the result gives every slot
+    an index in range(universe).  Each pending slot redraws uniformly
+    until free; earlier slots win intra-round ties.  Conditional on the
+    accepted set, every accepted value is uniform over its family's
+    unused indices, so the family's final index set is a uniform subset,
+    exactly as if filled one draw at a time.
+    """
+    total = len(fam)
+    vals = np.empty(total, dtype=np.int64)
+    pending = np.arange(total)
+    taken = np.empty(0, dtype=np.int64)  # sorted keys fam * universe + value
+    while pending.size:
+        cand = rng.integers(0, universe, size=pending.size)
+        key, first_pos = np.unique(fam[pending] * universe + cand, return_index=True)
+        at = np.searchsorted(taken, key)
+        old = at < taken.size
+        old[old] = taken[at[old]] == key[old]
+        keep = np.zeros(pending.size, dtype=bool)
+        keep[first_pos[~old]] = True
+        vals[pending[keep]] = cand[keep]
+        taken = np.sort(np.concatenate([taken, key[~old]]))
+        pending = pending[~keep]
+    return vals
+
+
+class _Rows:
+    """Read-only per-node view of a CSR adjacency: rows[i] is node i's
+    neighbour array."""
+
+    __slots__ = ("_ptr", "_idx")
+
+    def __init__(self, ptr: np.ndarray, idx: np.ndarray):
+        self._ptr = ptr
+        self._idx = idx
+
+    def __len__(self) -> int:
+        return len(self._ptr) - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        return self._idx[self._ptr[i] : self._ptr[i + 1]]
+
+    def __iter__(self):
+        bounds = self._ptr.tolist()
+        return (self._idx[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int):
+    """CSR arrays of the pairs (rows[i], cols[i]), each row ascending."""
+    ptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=ptr[1:])
+    idx = np.sort(rows * n_cols + cols) % n_cols
+    ptr.flags.writeable = False
+    idx.flags.writeable = False
+    return ptr, idx
+
+
+@dataclass(frozen=True)
+class BipartiteGraph:
+    """Sampled vertex-object adjacency in CSR form, both directions.
+
+    Vertices and objects use global 0-based ids, type by type;
+    `vertex_offsets`/`object_offsets` give the per-type split.  Vertex
+    v's objects are `vertex_idx[vertex_ptr[v]:vertex_ptr[v+1]]` and
+    object o's vertices likewise, each in ascending order.
     """
 
     params: ModelParams
-    vertex_adj: list[np.ndarray]
-    object_adj: list[np.ndarray]
+    vertex_ptr: np.ndarray = field(repr=False)
+    vertex_idx: np.ndarray = field(repr=False)
+    object_ptr: np.ndarray = field(repr=False)
+    object_idx: np.ndarray = field(repr=False)
     vertex_offsets: np.ndarray = field(repr=False)
     object_offsets: np.ndarray = field(repr=False)
 
+    @classmethod
+    def from_edges(cls, params: ModelParams, v, o) -> "BipartiteGraph":
+        """Graph with edges (v[i], o[i]) in global ids; duplicates are
+        the caller's responsibility."""
+        n_v, n_o = params.n_total, params.m_total
+        v = np.asarray(v, dtype=np.int64)
+        o = np.asarray(o, dtype=np.int64)
+        if v.shape != o.shape:
+            raise ValidationError("edge arrays differ in length")
+        if v.size and not (
+            0 <= v.min() and v.max() < n_v and 0 <= o.min() and o.max() < n_o
+        ):
+            raise ValidationError("edge endpoint out of range")
+        vertex_ptr, vertex_idx = _csr(v, o, n_v, n_o)
+        object_ptr, object_idx = _csr(o, v, n_o, n_v)
+        return cls(
+            params=params,
+            vertex_ptr=vertex_ptr,
+            vertex_idx=vertex_idx,
+            object_ptr=object_ptr,
+            object_idx=object_idx,
+            vertex_offsets=np.concatenate([[0], np.cumsum(params.n)]),
+            object_offsets=np.concatenate([[0], np.cumsum(params.m)]),
+        )
+
+    @property
+    def vertex_adj(self) -> _Rows:
+        return _Rows(self.vertex_ptr, self.vertex_idx)
+
+    @property
+    def object_adj(self) -> _Rows:
+        return _Rows(self.object_ptr, self.object_idx)
+
     @property
     def n_vertices(self) -> int:
-        return len(self.vertex_adj)
+        return len(self.vertex_ptr) - 1
 
     @property
     def n_objects(self) -> int:
-        return len(self.object_adj)
-
-    def vertex_id(self, k: int, idx: int) -> int:
-        return int(self.vertex_offsets[k]) + idx
-
-    def vertex_type_of(self, v: int) -> int:
-        return int(np.searchsorted(self.vertex_offsets, v, side="right")) - 1
-
-    def object_type_of(self, o: int) -> int:
-        return int(np.searchsorted(self.object_offsets, o, side="right")) - 1
+        return len(self.object_ptr) - 1
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.vertex_adj)
+        return len(self.vertex_idx)
 
 
 @dataclass
@@ -127,77 +216,58 @@ class DistanceLaw:
 def sample_bipartite(p: ModelParams, seed: int) -> BipartiteGraph:
     """Sample the typed bipartite graph with independent (v,u) edges.
 
-    Per vertex and object class, a Binomial(m_j, p_kj) degree is drawn
-    and that many distinct objects are chosen uniformly; equivalent in
-    law to per-pair Bernoulli trials but linear in the edge count.
+    Per (vertex class k, object class j) block, Binomial(m_j, p_kj)
+    degrees are drawn for all type-k vertices at once and each vertex's
+    objects are a uniform distinct subset, batched over the block; equal
+    in law to per-pair Bernoulli trials but linear in the edge count.
+    Blocks with p_kj > 1/2 draw their non-edges the same way with
+    probability 1 - p_kj, so the subset draws never fill a row.
     """
     validate_params(p)
     rng = np.random.default_rng(seed)
-    n_tot, m_tot = p.n_total, p.m_total
     v_off = np.concatenate([[0], np.cumsum(p.n)])
     o_off = np.concatenate([[0], np.cumsum(p.m)])
-
-    vertex_edges: list[list[np.ndarray]] = [[] for _ in range(n_tot)]
-    object_edges: list[list[np.ndarray]] = [[] for _ in range(m_tot)]
-
+    vs: list[np.ndarray] = []
+    obs: list[np.ndarray] = []
     for k in range(p.K):
-        base_v = int(v_off[k])
+        n_k = int(p.n[k])
         for j in range(p.J):
             prob = float(p.P[k, j])
             if prob == 0.0:
                 continue
             m_j = int(p.m[j])
-            base_o = int(o_off[j])
-            degs = rng.binomial(m_j, prob, size=int(p.n[k]))
-            total = int(degs.sum())
-            if total == 0:
-                continue
-            if prob == 1.0:
-                full = np.arange(base_o, base_o + m_j, dtype=np.int64)
-                for v_local in range(int(p.n[k])):
-                    vertex_edges[base_v + v_local].append(full)
-                continue
-            # partial Fisher-Yates per vertex on a shared buffer,
-            # positions drawn from one pre-generated uniform block
-            u = rng.random(total)
-            buf = np.arange(m_j, dtype=np.int64)
-            pos = 0
-            for v_local, deg in enumerate(degs):
-                deg = int(deg)
-                if deg == 0:
-                    continue
-                chosen = np.empty(deg, dtype=np.int64)
-                for t in range(deg):
-                    r = t + int(u[pos] * (m_j - t))
-                    pos += 1
-                    buf[t], buf[r] = buf[r], buf[t]
-                    chosen[t] = buf[t]
-                vertex_edges[base_v + v_local].append(chosen + base_o)
-
+            dense = prob > 0.5
+            degs = rng.binomial(m_j, 1.0 - prob if dense else prob, size=n_k)
+            fam = np.repeat(np.arange(n_k), degs)
+            objs = sample_family_subsets(rng, fam, m_j)
+            if dense:
+                keep = np.ones((n_k, m_j), dtype=bool)
+                keep[fam, objs] = False
+                fam, objs = np.nonzero(keep)
+            vs.append(fam + v_off[k])
+            obs.append(objs + o_off[j])
     empty = np.empty(0, dtype=np.int64)
-    vertex_adj = [
-        np.concatenate(e) if e else empty.copy() for e in vertex_edges
-    ]
-    for v, objs in enumerate(vertex_adj):
-        for o in objs:
-            object_edges[int(o)].append(v)
-    object_adj = [
-        np.asarray(e, dtype=np.int64) if e else empty.copy() for e in object_edges
-    ]
-    return BipartiteGraph(
-        params=p,
-        vertex_adj=vertex_adj,
-        object_adj=object_adj,
-        vertex_offsets=v_off,
-        object_offsets=o_off,
+    return BipartiteGraph.from_edges(
+        p,
+        np.concatenate(vs) if vs else empty,
+        np.concatenate(obs) if obs else empty,
     )
+
+
+def _gather(ptr: np.ndarray, idx: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Concatenated CSR rows of `nodes`."""
+    starts = ptr[nodes]
+    lens = ptr[nodes + 1] - starts
+    row_start = np.cumsum(lens) - lens
+    pos = np.arange(int(lens.sum())) + np.repeat(starts - row_start, lens)
+    return idx[pos]
 
 
 def pair_distance(g: BipartiteGraph, a: int, b: int):
     """Intersection-graph distance between vertices a and b.
 
-    Half the bipartite distance, found by alternating BFS; 0 iff a == b,
-    inf iff the vertices are in different components.
+    Half the bipartite distance, found by alternating frontier BFS; 0
+    iff a == b, inf iff the vertices are in different components.
     """
     n_v, n_o = g.n_vertices, g.n_objects
     for v in (a, b):
@@ -208,25 +278,19 @@ def pair_distance(g: BipartiteGraph, a: int, b: int):
     seen_v = np.zeros(n_v, dtype=bool)
     seen_o = np.zeros(n_o, dtype=bool)
     seen_v[a] = True
-    frontier = [a]
+    frontier = np.array([a], dtype=np.int64)
     dist = 0
-    while frontier:
+    while frontier.size:
         dist += 1
-        next_objects = []
-        for v in frontier:
-            for o in g.vertex_adj[v]:
-                if not seen_o[o]:
-                    seen_o[o] = True
-                    next_objects.append(o)
-        next_vertices = []
-        for o in next_objects:
-            for v in g.object_adj[o]:
-                if not seen_v[v]:
-                    seen_v[v] = True
-                    next_vertices.append(v)
+        objs = _gather(g.vertex_ptr, g.vertex_idx, frontier)
+        objs = np.unique(objs[~seen_o[objs]])
+        seen_o[objs] = True
+        verts = _gather(g.object_ptr, g.object_idx, objs)
+        verts = np.unique(verts[~seen_v[verts]])
+        seen_v[verts] = True
         if seen_v[b]:
             return dist
-        frontier = next_vertices
+        frontier = verts
     return INF
 
 

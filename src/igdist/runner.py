@@ -319,12 +319,15 @@ def _run_coincidence(cfg: ExperimentConfig, w: RunWriter) -> None:
     )
 
 
-def _run_approx(cfg: ExperimentConfig, w: RunWriter, spec) -> None:
-    pools = _pools(cfg, w, spec)
+def _write_approx_law(w: RunWriter, spec, pools: WPools) -> None:
     law = build_approx_law(spec, pools, range(-2, 4))
     rows = [(u, e) for u, e in zip(law.support, law.exceed)]
     rows.append(("inf", law.defect))
     w.write_csv("approx_law.csv", ["u", "exceed_prob"], rows)
+
+
+def _run_approx(cfg: ExperimentConfig, w: RunWriter, spec) -> None:
+    _write_approx_law(w, spec, _pools(cfg, w, spec))
 
 
 def _run_compare(cfg: ExperimentConfig, w: RunWriter, spec, workers: int) -> None:
@@ -351,10 +354,7 @@ def _run_compare(cfg: ExperimentConfig, w: RunWriter, spec, workers: int) -> Non
         )
         return
     pools = _pools(cfg, w, spec)
-    alaw = build_approx_law(spec, pools, range(-2, 4))
-    rows = [(u, e) for u, e in zip(alaw.support, alaw.exceed)]
-    rows.append(("inf", alaw.defect))
-    w.write_csv("approx_law.csv", ["u", "exceed_prob"], rows)
+    _write_approx_law(w, spec, pools)
     table = compare(law, spec, pools, c25=cfg.c25)
     w.write_csv(
         "compare.csv",

@@ -133,6 +133,16 @@ class TestSurvival:
         se = math.sqrt(q_sim * (1 - q_sim) / 10_000)
         assert abs((1 - s) - q_sim) <= 3 * se
 
+    @pytest.mark.parametrize("start_type", [-1, 2])
+    def test_extinction_frequency_rejects_bad_start_type(self, two_by_two, start_type):
+        # a negative id would otherwise wrap around to the last type
+        with pytest.raises(ValidationError, match="invalid vertex type"):
+            extinction_frequency(two_by_two, start_type, 5, 10, seed=1)
+
+    def test_extinction_frequency_rejects_zero_reps(self, scalar4):
+        with pytest.raises(ValidationError, match="reps must be >= 1"):
+            extinction_frequency(scalar4, 0, 5, 0, seed=1)
+
     def test_subcritical_returns_zero(self):
         p = ModelParams(n=[100], m=[100], P=[[0.005]])  # tau = 0.25
         assert survival_prob(p)[0] == pytest.approx(0.0, abs=1e-9)

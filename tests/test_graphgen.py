@@ -14,21 +14,14 @@ from igdist import (
 )
 from igdist.errors import ValidationError
 from igdist.graphgen import BipartiteGraph, sample_subset
+from igdist.seeding import derive_seed
 
 
 def graph_from_edges(n_vertices, n_objects, edges):
     """Explicit single-type bipartite graph from an edge list."""
-    va = [[] for _ in range(n_vertices)]
-    oa = [[] for _ in range(n_objects)]
-    for v, o in edges:
-        va[v].append(o)
-        oa[o].append(v)
-    return BipartiteGraph(
-        params=ModelParams(n=[n_vertices], m=[n_objects], P=[[0.5]]),
-        vertex_adj=[np.asarray(sorted(a), dtype=np.int64) for a in va],
-        object_adj=[np.asarray(sorted(a), dtype=np.int64) for a in oa],
-        vertex_offsets=np.array([0, n_vertices]),
-        object_offsets=np.array([0, n_objects]),
+    v, o = zip(*edges) if edges else ((), ())
+    return BipartiteGraph.from_edges(
+        ModelParams(n=[n_vertices], m=[n_objects], P=[[0.5]]), v, o
     )
 
 
@@ -108,6 +101,89 @@ class TestSampling:
         assert pval > 1e-3
 
 
+def _dense_distance(B):
+    """d(vertex 0, vertex 1) in the intersection graph of the dense
+    incidence matrix B, by BFS on the materialized adjacency."""
+    A = (B.astype(np.int64) @ B.T.astype(np.int64)) > 0
+    reached = np.zeros(len(A), dtype=bool)
+    reached[0] = True
+    frontier = reached.copy()
+    d = 0
+    while frontier.any():
+        d += 1
+        nxt = A[frontier].any(axis=0) & ~reached
+        if nxt[1]:
+            return d
+        reached |= nxt
+        frontier = nxt
+    return math.inf
+
+
+class TestSamplerAgainstDenseOracle:
+    """sample_bipartite + pair_distance against the model's definition:
+    one independent Bernoulli(p_kj) draw per (vertex, object) pair.  The
+    p = 0.6 block runs the sampler's non-edge branch.  Seeds and bounds
+    were fixed before the sampler was run against them."""
+
+    params = ModelParams(n=[12, 15], m=[10], P=[[0.15], [0.6]])
+    reps = 4000
+    # p of every (vertex, object) pair
+    pair_p = np.repeat(np.repeat(params.P, params.n, axis=0), params.m, axis=1)
+
+    @pytest.fixture(scope="class")
+    def sampled(self):
+        counts = np.zeros(self.pair_p.shape, dtype=np.int64)
+        degrees = []
+        dists = []
+        for r in range(self.reps):
+            g = sample_bipartite(self.params, seed=derive_seed(5, "oracle", r))
+            deg = np.diff(g.vertex_ptr)
+            counts[np.repeat(np.arange(g.n_vertices), deg), g.vertex_idx] += 1
+            degrees.append(deg)
+            dists.append(pair_distance(g, 0, 1))
+        return counts, DistanceLaw.from_samples(dists), np.array(degrees)
+
+    def test_distance_law_tv(self, sampled):
+        # over 40 oracle-vs-oracle pairs at 4000 reps, TV had mean 0.012,
+        # sd 0.005 and max 0.021; 0.05 is the criterion-7 bound
+        rng = np.random.default_rng(6)
+        P = self.pair_p
+        oracle = DistanceLaw.from_samples(
+            [_dense_distance(rng.random(P.shape) < P) for _ in range(self.reps)]
+        )
+        law = sampled[1]
+        cells = sorted(set(law.counts) | set(oracle.counts))
+        diff = sum(abs(law.counts.get(d, 0) - oracle.counts.get(d, 0)) for d in cells)
+        diff += abs(law.infinite_count - oracle.infinite_count)
+        tv = 0.5 * diff / self.reps
+        assert tv <= 0.05
+
+    def test_per_pair_edge_frequencies(self, sampled):
+        # each pair's count is Binomial(reps, p_kj), independent across pairs
+        from scipy import stats
+
+        P = self.pair_p
+        expected = self.reps * P
+        stat = float((((sampled[0] - expected) ** 2) / (expected * (1 - P))).sum())
+        assert stats.chi2.sf(stat, P.size) > 1e-3
+
+    def test_degree_law(self, sampled):
+        # per-pair frequencies cannot see a wrong degree law with the right
+        # mean; degrees of each type are Binomial(10, p_k1), cells with
+        # expected count < 20 lumped into one
+        from scipy import stats
+
+        bounds = np.cumsum([0, *self.params.n])
+        for k, prob in enumerate(self.params.P[:, 0]):
+            deg = sampled[2][:, bounds[k] : bounds[k + 1]].ravel()
+            expected = stats.binom.pmf(np.arange(11), 10, prob) * deg.size
+            observed = np.bincount(deg, minlength=11)
+            rare = expected < 20
+            expected = np.append(expected[~rare], expected[rare].sum())
+            observed = np.append(observed[~rare], observed[rare].sum())
+            assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+
 class TestPairDistance:
     def test_hand_checkable_path(self):
         # v1-u1, v2-u1, v2-u2, v3-u2: d(v1,v3)=2 via v1-u1-v2-u2-v3
@@ -124,6 +200,12 @@ class TestPairDistance:
         g = graph_from_edges(2, 1, [(0, 0)])
         with pytest.raises(ValidationError, match="invalid vertex id"):
             pair_distance(g, 0, 5)
+
+    def test_edge_endpoint_out_of_range(self):
+        with pytest.raises(ValidationError, match="out of range"):
+            graph_from_edges(2, 1, [(0, 1)])
+        with pytest.raises(ValidationError, match="out of range"):
+            graph_from_edges(2, 1, [(-1, 0)])
 
     def test_exhaustive_small_graphs_vs_floyd_warshall(self):
         # all bipartite graphs on 3 vertices + 3 objects
