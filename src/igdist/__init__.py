@@ -11,7 +11,6 @@ from .model import (
     ModelParams,
     Rank1Params,
     SpectralData,
-    c0_c1_estimate,
     degree_bound,
     derived_scalars,
     identity_report,
@@ -51,7 +50,6 @@ from .coincidence import (
 from .approx import (
     ApproxLaw,
     WPools,
-    L_of_d,
     build_approx_law,
     cdf_U_prime,
     compare,
@@ -72,7 +70,6 @@ __all__ = [
     "second_modulus",
     "derived_scalars",
     "identity_report",
-    "c0_c1_estimate",
     "rank1_build",
     "degree_bound",
     "BipartiteGraph",
@@ -98,7 +95,6 @@ __all__ = [
     "poisson_check",
     "WPools",
     "ApproxLaw",
-    "L_of_d",
     "exceed_prob",
     "cdf_U_prime",
     "sample_U_tilde",

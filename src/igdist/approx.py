@@ -11,7 +11,7 @@ off that event the distance is infinite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,13 +76,6 @@ def _pair_mean(pool_a, pool_b, scale: float) -> float:
         block = pool_a[lo : lo + _CHUNK, None] * pool_b[None, :]
         total += float(np.exp(-block * scale).sum())
     return total / (len(pool_a) * len(pool_b))
-
-
-def L_of_d(spec: SpectralData, d: int) -> float:
-    """Cumulative expected cross-collision count kappa (tau^d - 1) / n."""
-    if d < 1:
-        raise ValidationError(f"d must be >= 1, got {d}")
-    return spec.kappa / spec.n_total * (spec.tau**d - 1.0)
 
 
 def exceed_prob(spec: SpectralData, pools: WPools, u: int) -> float:
@@ -231,7 +224,3 @@ def compare(
         rows=tuple(rows), max_abs_diff=max_diff, defect_abs_diff=defect_diff
     )
 
-
-def with_kappa(spec: SpectralData, kappa: float) -> SpectralData:
-    """Copy of the spectral summary with a replaced collision constant."""
-    return replace(spec, kappa=kappa)

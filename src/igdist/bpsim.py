@@ -11,12 +11,17 @@ Bi(m*X, p)), which is the exact offspring law of the whole generation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PopulationCapError, SimulationError, ValidationError
-from .graphgen import sample_family_subsets
+from .errors import (
+    ConvergenceError,
+    PopulationCapError,
+    SimulationError,
+    ValidationError,
+)
+from .graphgen import BipartiteGraph, pair_distance, sample_family_subsets
 from .model import ModelParams, SpectralData, validate_params
 from .seeding import derive_seed
 
@@ -83,40 +88,12 @@ class LabeledForest:
     root_a: int
     root_b: int
     pruned: bool = False
-    _adj: dict | None = field(default=None, repr=False)
-
-    def _adjacency(self) -> dict:
-        if self._adj is None:
-            adj: dict[int, list[int]] = {self.root_a: [], self.root_b: []}
-            n_tot = self.params.n_total
-            for v, o in zip(self.edges_v, self.edges_o):
-                adj.setdefault(int(v), []).append(int(o) + n_tot)
-                adj.setdefault(int(o) + n_tot, []).append(int(v))
-            self._adj = adj
-        return self._adj
 
     def distance(self):
-        """Intersection-graph distance between the two roots (half the
-        index-graph distance); inf when not connected within depth."""
-        adj = self._adjacency()
-        a, b = self.root_a, self.root_b
-        if a == b:
-            return 0
-        seen = {a}
-        frontier = [a]
-        steps = 0
-        while frontier:
-            steps += 1
-            nxt = []
-            for u in frontier:
-                for w in adj.get(u, ()):
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            if b in seen:
-                return steps // 2
-            frontier = nxt
-        return math.inf
+        """Intersection-graph distance between the two roots; inf when
+        not connected within depth."""
+        g = BipartiteGraph.from_edges(self.params, self.edges_v, self.edges_o)
+        return pair_distance(g, self.root_a, self.root_b)
 
 
 def _check_cap(count: int, cap: int, generation: int) -> None:
@@ -265,7 +242,8 @@ def survival_prob(p: ModelParams, tol: float = 1e-12, max_iter: int = 1_000_000)
     q is the minimal fixed point in [0,1]^K of the one-vertex-generation
     extinction map f_k(s) = prod_j (1 - p_kj + p_kj g_j(s))^{m_j} with
     g_j(s) = prod_l (1 - p_lj + p_lj s_l)^{n_l}; survival is identified
-    with {W > 0} (almost-sure positivity on non-extinction).
+    with {W > 0} (almost-sure positivity on non-extinction).  Raises
+    ConvergenceError when `max_iter` iterations leave a step >= tol.
     """
     validate_params(p)
     P = p.P
@@ -274,10 +252,11 @@ def survival_prob(p: ModelParams, tol: float = 1e-12, max_iter: int = 1_000_000)
         g = np.prod((1.0 - P + P * s[:, None]) ** p.n[:, None], axis=0)
         f = np.prod((1.0 - P + P * g[None, :]) ** p.m[None, :], axis=1)
         if np.abs(f - s).max() < tol:
-            s = f
-            break
+            return 1.0 - f
         s = f
-    return 1.0 - s
+    raise ConvergenceError(
+        f"extinction fixed point not within {tol} after {max_iter} iterations"
+    )
 
 
 def extinction_frequency(

@@ -16,10 +16,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .graphgen import sample_subset
+from .graphgen import sample_family_subsets
 from .seeding import derive_seed
 
 EXACT_COST_LIMIT = 10_000_000
+# Monte Carlo replicates per block times the largest universe: bounds the
+# keys held at once for any w.
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -207,34 +210,55 @@ def p_no_collision_exact(s: SamplingScheme) -> float:
     return float(prob)
 
 
+def _subset_keys(rng, reps: int, z: int, w: int) -> np.ndarray:
+    """Keys rep * w + e of one uniform z-subset of range(w) per
+    replicate.  A draw of more than half the universe draws its
+    complement, so the rejection rounds stay short."""
+    small = min(z, w - z)
+    fam = np.repeat(np.arange(reps, dtype=np.int64), small)
+    keys = fam * w + sample_family_subsets(rng, fam, w)
+    if small == z:
+        return keys
+    keep = np.ones(reps * w, dtype=bool)
+    keep[keys] = False
+    return np.flatnonzero(keep)
+
+
 def p_no_collision_mc(
     s: SamplingScheme, reps: int, seed: int
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of P[S = 0] with its binomial standard error."""
+    """Monte Carlo estimate of P[S = 0] with its binomial standard error.
+
+    Replicates run in blocks, vectorized across the block: every
+    (replicate, draw) is one family of `sample_family_subsets`, and a
+    replicate collides when one of B's keys is in A's union.
+    """
     validate_scheme(s)
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     rng = np.random.default_rng(derive_seed(seed, "coincidence"))
+    block = max(1, _CHUNK // max(s.w))
+    empty = np.empty(0, dtype=np.int64)
     hits = 0
-    bufs = [np.arange(w, dtype=np.int64) for w in s.w]
-    for _ in range(reps):
-        clear = True
+    for lo in range(0, reps, block):
+        n = min(block, reps - lo)
+        clear = np.ones(n, dtype=bool)
         for l in range(s.L):
-            if not clear:
-                break
             w, w_star = s.w[l], s.excluded[l]
-            # elements 0..w_star-1 play the excluded set
-            a_union: set[int] = set()
-            for z in s.draws_a[l]:
-                for e in sample_subset(rng, z, w, bufs[l]):
-                    if e >= w_star:
-                        a_union.add(int(e))
-            for z in s.draws_b[l]:
-                for e in sample_subset(rng, z, w, bufs[l]):
-                    if e >= w_star and int(e) in a_union:
-                        clear = False
-        if clear:
-            hits += 1
+            a_keys = np.sort(np.concatenate(
+                [empty] + [_subset_keys(rng, n, z, w) for z in s.draws_a[l]]
+            ))
+            # elements 0..w_star-1 play the excluded set; repeated keys
+            # do not disturb the membership test below
+            a_keys = a_keys[a_keys % w >= w_star]
+            b_keys = np.concatenate(
+                [empty] + [_subset_keys(rng, n, z, w) for z in s.draws_b[l]]
+            )
+            at = np.searchsorted(a_keys, b_keys)
+            hit = at < a_keys.size
+            hit[hit] = a_keys[at[hit]] == b_keys[hit]
+            clear[b_keys[hit] // w] = False
+        hits += int(np.count_nonzero(clear))
     est = hits / reps
     se = math.sqrt(est * (1.0 - est) / reps)
     return est, se

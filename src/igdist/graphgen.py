@@ -19,27 +19,6 @@ from .seeding import derive_seed
 INF = math.inf
 
 
-def sample_subset(
-    rng: np.random.Generator, size: int, universe: int, buf: np.ndarray | None = None
-) -> np.ndarray:
-    """Uniform `size`-subset of range(universe) by partial Fisher-Yates.
-
-    `buf` may hold any permutation of range(universe) and is left
-    permuted; passing it back in amortizes allocation without biasing
-    the draw, since every step samples uniformly from the unchosen
-    suffix.  Meant for many tiny draws, as in the coincidence Monte
-    Carlo; batched draws go through `sample_family_subsets`.
-    """
-    if buf is None:
-        buf = np.arange(universe, dtype=np.int64)
-    out = np.empty(size, dtype=np.int64)
-    for t in range(size):
-        r = int(rng.integers(t, universe))
-        buf[t], buf[r] = buf[r], buf[t]
-        out[t] = buf[t]
-    return out
-
-
 def sample_family_subsets(rng, fam: np.ndarray, universe: int) -> np.ndarray:
     """Uniform distinct indices within each family, batched.
 
@@ -48,7 +27,9 @@ def sample_family_subsets(rng, fam: np.ndarray, universe: int) -> np.ndarray:
     until free; earlier slots win intra-round ties.  Conditional on the
     accepted set, every accepted value is uniform over its family's
     unused indices, so the family's final index set is a uniform subset,
-    exactly as if filled one draw at a time.
+    exactly as if filled one draw at a time.  A family filling most of
+    the universe needs many rounds, so callers drawing more than half of
+    it draw the complement instead.
     """
     total = len(fam)
     vals = np.empty(total, dtype=np.int64)

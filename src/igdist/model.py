@@ -351,37 +351,6 @@ def identity_report(s: SpectralData) -> dict[str, float]:
     return rep
 
 
-def c0_c1_estimate(s: SpectralData, horizon: int) -> tuple[float, float]:
-    """Finite-horizon lower estimates of the uniform growth constants.
-
-    c0_hat scans i <= horizon over unit-l1 starting vectors (attained at
-    basis vectors) of tau^-i (M^i)[r,k] / mu_k for both mean matrices;
-    c1_hat scans |lambda_2|^-i of the inf-operator norm of the deflated
-    powers, with the i = 0 convention I - nu mu^T.  Both are reported as
-    lower bounds, never certified suprema.
-    """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    c0 = 0.0
-    for M, w in ((s.M_X, s.mu), (s.M_Y, s.mu_tilde)):
-        power = np.eye(M.shape[0])
-        scale = 1.0
-        for _ in range(horizon + 1):
-            c0 = max(c0, float((power / (scale * w[None, :])).max()))
-            power = power @ M
-            scale *= s.tau
-    deflated = s.M_X - s.tau * np.outer(s.nu, s.mu)
-    base = np.eye(len(s.mu)) - np.outer(s.nu, s.mu)
-    c1 = float(np.abs(base).sum(axis=1).max())
-    if s.lambda2_mod > 0.0:
-        power = base
-        for i in range(1, horizon + 1):
-            power = power @ deflated
-            norm = float(np.abs(power).sum(axis=1).max())
-            c1 = max(c1, norm / s.lambda2_mod**i)
-    return c0, c1
-
-
 def rank1_build(
     r: Rank1Params, n, m
 ) -> tuple[ModelParams, float, np.ndarray, np.ndarray]:

@@ -28,18 +28,6 @@ from .graphgen import empirical_distance_law
 from .model import derived_scalars, mean_matrices, perron, rank1_build
 from .seeding import derive_seed
 
-SUBCOMMANDS = (
-    "spectral",
-    "graph-dist",
-    "bp",
-    "coincidence",
-    "approx",
-    "compare",
-    "rank1",
-    "ghosts",
-)
-
-
 def parallel_map(fn, args_list, workers: int):
     """Map preserving argument order; worker count never affects results."""
     if workers <= 1 or len(args_list) <= 1:
@@ -163,7 +151,7 @@ def _spectral_payload(spec) -> dict:
     }
 
 
-def _run_spectral(cfg: ExperimentConfig, w: RunWriter) -> None:
+def _run_spectral(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
     from .model import identity_report
 
     spec = derived_scalars(cfg.params)
@@ -184,9 +172,18 @@ def _run_graph_dist(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
     w.write_csv("distances.csv", ["distance", "count"], law.to_rows())
 
 
+def _write_survival(cfg: ExperimentConfig, w: RunWriter) -> np.ndarray:
+    surv = survival_prob(cfg.params)
+    w.write_csv(
+        "survival.csv",
+        ["type", "survival"],
+        [(k + 1, float(surv[k])) for k in range(cfg.params.K)],
+    )
+    return surv
+
+
 def _pools(cfg: ExperimentConfig, w: RunWriter, spec) -> WPools:
     horizon = _default_horizon(cfg, spec)
-    surv = survival_prob(cfg.params)
     pool_a = conditioned_w_pool(
         cfg.params, spec, cfg.k1, horizon, cfg.pool_size,
         w.stage_seed("pool-a"), cfg.population_cap,
@@ -195,21 +192,16 @@ def _pools(cfg: ExperimentConfig, w: RunWriter, spec) -> WPools:
         cfg.params, spec, cfg.k2, horizon, cfg.pool_size,
         w.stage_seed("pool-b"), cfg.population_cap,
     )
-    pools = WPools(
+    w.write_csv("wpool_a.csv", ["value"], [(v,) for v in pool_a])
+    w.write_csv("wpool_b.csv", ["value"], [(v,) for v in pool_b])
+    surv = _write_survival(cfg, w)
+    return WPools(
         pool_a=pool_a,
         pool_b=pool_b,
         surv_a=float(surv[cfg.k1]),
         surv_b=float(surv[cfg.k2]),
         horizon=horizon,
     )
-    w.write_csv("wpool_a.csv", ["value"], [(v,) for v in pool_a])
-    w.write_csv("wpool_b.csv", ["value"], [(v,) for v in pool_b])
-    w.write_csv(
-        "survival.csv",
-        ["type", "survival"],
-        [(k + 1, float(surv[k])) for k in range(cfg.params.K)],
-    )
-    return pools
 
 
 def _trajectory_rows(traj) -> list[tuple]:
@@ -223,7 +215,8 @@ def _trajectory_rows(traj) -> list[tuple]:
     return rows
 
 
-def _run_bp(cfg: ExperimentConfig, w: RunWriter, spec) -> None:
+def _run_bp(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
+    spec = derived_scalars(cfg.params)
     horizon = _default_horizon(cfg, spec)
     seed = w.stage_seed("bp")
     traj = simulate(
@@ -298,7 +291,7 @@ _COINCIDENCE_HEADER = [
 ]
 
 
-def _run_coincidence(cfg: ExperimentConfig, w: RunWriter) -> None:
+def _run_coincidence(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
     seed = w.stage_seed("coincidence")
     if cfg.scheme is not None:
         schemes = [_scheme_from_dict(cfg.scheme)]
@@ -326,11 +319,22 @@ def _write_approx_law(w: RunWriter, spec, pools: WPools) -> None:
     w.write_csv("approx_law.csv", ["u", "exceed_prob"], rows)
 
 
-def _run_approx(cfg: ExperimentConfig, w: RunWriter, spec) -> None:
+def _run_approx(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
+    spec = derived_scalars(cfg.params)
     _write_approx_law(w, spec, _pools(cfg, w, spec))
 
 
-def _run_compare(cfg: ExperimentConfig, w: RunWriter, spec, workers: int) -> None:
+_COMPARE_HEADER = [
+    "u", "empirical_exceed", "approx_exceed", "abs_diff", "delta_scale",
+]
+
+
+def _run_compare(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
+    # compare degrades gracefully on non-supercritical models
+    try:
+        spec = derived_scalars(cfg.params)
+    except ValidationError:
+        spec = None
     seed = w.stage_seed("graph-dist")
     law = empirical_distance_law(
         cfg.params, cfg.k1, cfg.k2, cfg.graph_reps, seed, workers=workers
@@ -339,17 +343,12 @@ def _run_compare(cfg: ExperimentConfig, w: RunWriter, spec, workers: int) -> Non
     if spec is None:
         # not supercritical: the branching approximation degenerates to
         # pure defect mass, so only the infinite-distance row is checkable
-        surv = survival_prob(cfg.params)
-        w.write_csv(
-            "survival.csv",
-            ["type", "survival"],
-            [(k + 1, float(surv[k])) for k in range(cfg.params.K)],
-        )
+        surv = _write_survival(cfg, w)
         defect = 1.0 - float(surv[cfg.k1]) * float(surv[cfg.k2])
         emp_inf = law.prob_infinite()
         w.write_csv(
             "compare.csv",
-            ["u", "empirical_exceed", "approx_exceed", "abs_diff", "delta_scale"],
+            _COMPARE_HEADER,
             [("inf", emp_inf, defect, abs(emp_inf - defect), math.nan)],
         )
         return
@@ -358,7 +357,7 @@ def _run_compare(cfg: ExperimentConfig, w: RunWriter, spec, workers: int) -> Non
     table = compare(law, spec, pools, c25=cfg.c25)
     w.write_csv(
         "compare.csv",
-        ["u", "empirical_exceed", "approx_exceed", "abs_diff", "delta_scale"],
+        _COMPARE_HEADER,
         [
             (
                 "inf" if math.isinf(r.u) else int(r.u),
@@ -372,7 +371,7 @@ def _run_compare(cfg: ExperimentConfig, w: RunWriter, spec, workers: int) -> Non
     )
 
 
-def _run_rank1(cfg: ExperimentConfig, w: RunWriter) -> None:
+def _run_rank1(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
     if cfg.rank1 is None:
         raise ConfigError("rank1 subcommand requires a 'rank1' config block")
     params, tau_cf, mu_cf, nu_cf = rank1_build(
@@ -400,7 +399,8 @@ def _run_rank1(cfg: ExperimentConfig, w: RunWriter) -> None:
     )
 
 
-def _run_ghosts(cfg: ExperimentConfig, w: RunWriter, spec, workers: int) -> None:
+def _run_ghosts(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
+    spec = derived_scalars(cfg.params)
     seed = w.stage_seed("ghosts")
     rows = ghost_scaling(
         cfg.params, spec, cfg.depth, cfg.bp_reps, seed,
@@ -416,6 +416,21 @@ def _run_ghosts(cfg: ExperimentConfig, w: RunWriter, spec, workers: int) -> None
     )
 
 
+# subcommand -> pipeline(cfg, writer, workers); each pipeline that needs
+# the spectral data derives it itself
+PIPELINES = {
+    "spectral": _run_spectral,
+    "graph-dist": _run_graph_dist,
+    "bp": _run_bp,
+    "coincidence": _run_coincidence,
+    "approx": _run_approx,
+    "compare": _run_compare,
+    "rank1": _run_rank1,
+    "ghosts": _run_ghosts,
+}
+SUBCOMMANDS = tuple(PIPELINES)
+
+
 def run(
     subcommand: str,
     cfg: ExperimentConfig,
@@ -426,39 +441,13 @@ def run(
 
     Partial outputs are removed if any stage fails.
     """
-    if subcommand not in SUBCOMMANDS:
+    if subcommand not in PIPELINES:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     workers = cfg.workers if workers is None else workers
     w = RunWriter(out, cfg, subcommand)
-    needs_spec = subcommand in ("bp", "approx", "compare", "ghosts")
     try:
-        spec = None
-        if needs_spec:
-            if subcommand == "compare":
-                # compare degrades gracefully on non-supercritical models
-                try:
-                    spec = derived_scalars(cfg.params)
-                except ValidationError:
-                    spec = None
-            else:
-                spec = derived_scalars(cfg.params)
-        if subcommand == "spectral":
-            _run_spectral(cfg, w)
-        elif subcommand == "graph-dist":
-            _run_graph_dist(cfg, w, workers)
-        elif subcommand == "bp":
-            _run_bp(cfg, w, spec)
-        elif subcommand == "coincidence":
-            _run_coincidence(cfg, w)
-        elif subcommand == "approx":
-            _run_approx(cfg, w, spec)
-        elif subcommand == "compare":
-            _run_compare(cfg, w, spec, workers)
-        elif subcommand == "rank1":
-            _run_rank1(cfg, w)
-        elif subcommand == "ghosts":
-            _run_ghosts(cfg, w, spec, workers)
+        PIPELINES[subcommand](cfg, w, workers)
     except BaseException:
         w.discard()
         raise

@@ -8,8 +8,6 @@ count.
 
 from __future__ import annotations
 
-import numpy as np
-
 _MASK = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -39,7 +37,3 @@ def derive_seed(master: int, tag: str, replicate: int = 0) -> int:
     z = _splitmix64(z ^ (replicate & _MASK))
     return z
 
-
-def rng_for(master: int, tag: str, replicate: int = 0) -> np.random.Generator:
-    """Generator seeded from the derived substream."""
-    return np.random.default_rng(derive_seed(master, tag, replicate))

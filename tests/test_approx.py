@@ -1,11 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from igdist import (
     DistanceLaw,
-    L_of_d,
     WPools,
     build_approx_law,
     cdf_U_prime,
@@ -14,7 +14,7 @@ from igdist import (
     exceed_prob,
     sample_U_tilde,
 )
-from igdist.approx import theta_tilde, with_kappa
+from igdist.approx import theta_tilde
 from igdist.errors import ValidationError
 
 POINT_MASS = WPools(pool_a=[1.0], pool_b=[1.0], surv_a=1.0, surv_b=1.0, horizon=12)
@@ -30,34 +30,6 @@ def random_pools():
         surv_b=0.75,
         horizon=12,
     )
-
-
-class TestLofd:
-    def test_scalar4_value(self, scalar4_spec):
-        assert L_of_d(scalar4_spec, 2) == pytest.approx(0.02, rel=1e-12)
-
-    def test_positive(self, scalar4_spec, two_by_two_spec):
-        for s in (scalar4_spec, two_by_two_spec):
-            for d in (1, 2, 7):
-                assert L_of_d(s, d) > 0.0
-
-    def test_even_display_cross_check(self, two_by_two_spec):
-        # the even-generation display (tau/(tau-1)) n^-1 (tau^2i - 1)
-        # sum mu_k^2/q_k equals the unified form
-        s = two_by_two_spec
-        for i in (1, 2, 3):
-            display = (
-                s.tau
-                / (s.tau - 1.0)
-                / s.n_total
-                * (s.tau ** (2 * i) - 1.0)
-                * float(np.sum(s.mu**2 / s.qX))
-            )
-            assert L_of_d(s, 2 * i) == pytest.approx(display, rel=1e-12)
-
-    def test_d_below_one_rejected(self, scalar4_spec):
-        with pytest.raises(ValidationError):
-            L_of_d(scalar4_spec, 0)
 
 
 class TestExceedProb:
@@ -113,7 +85,7 @@ class TestSampleUTilde:
 
     def test_kappa_scale_shifts_by_one(self, scalar4_spec, random_pools):
         base = sample_U_tilde(scalar4_spec, random_pools, 500, seed=3)
-        scaled_spec = with_kappa(scalar4_spec, scalar4_spec.kappa * scalar4_spec.tau)
+        scaled_spec = replace(scalar4_spec, kappa=scalar4_spec.kappa * scalar4_spec.tau)
         shifted = sample_U_tilde(scaled_spec, random_pools, 500, seed=3)
         assert np.allclose(base - 1.0, shifted, atol=1e-12)
 
@@ -206,7 +178,7 @@ class TestCompare:
         pools = WPools(
             pool_a=[1.0], pool_b=[1.0], surv_a=1.0, surv_b=1.0, horizon=12
         )
-        spec = with_kappa(scalar4_spec, 1e6)
+        spec = replace(scalar4_spec, kappa=1e6)
         table = compare(emp, spec, pools, u_window=range(-3, 4))
         assert table.max_abs_diff <= 1e-6
         assert table.defect_abs_diff == 0.0

@@ -16,6 +16,7 @@ from igdist import (
 )
 from igdist.bpsim import simulate_batch
 from igdist.errors import (
+    ConvergenceError,
     PopulationCapError,
     SimulationError,
     ValidationError,
@@ -142,6 +143,11 @@ class TestSurvival:
     def test_extinction_frequency_rejects_zero_reps(self, scalar4):
         with pytest.raises(ValidationError, match="reps must be >= 1"):
             extinction_frequency(scalar4, 0, 5, 0, seed=1)
+
+    def test_max_iter_exhausted_raises(self, scalar4):
+        # scalar4 needs more than 3 iterations to reach tol
+        with pytest.raises(ConvergenceError, match="after 3 iterations"):
+            survival_prob(scalar4, max_iter=3)
 
     def test_subcritical_returns_zero(self):
         p = ModelParams(n=[100], m=[100], P=[[0.005]])  # tau = 0.25

@@ -175,6 +175,12 @@ class TestMC:
         est, se = p_no_collision_mc(s, 100_000, seed=3)
         assert abs(est - p_no_collision_exact(s)) <= 3 * se
 
+    def test_complement_draw_matches_exact(self):
+        # zA = 5 > w/2 draws its complement; B avoids A's set w.p. 1/6
+        s = SamplingScheme(w=[6], draws_a=[[5]], draws_b=[[1]])
+        est, se = p_no_collision_mc(s, 100_000, seed=5)
+        assert abs(est - 1.0 / 6.0) <= 3 * se
+
     def test_deterministic(self):
         s = SamplingScheme(w=[10], draws_a=[[2]], draws_b=[[3]])
         assert p_no_collision_mc(s, 1000, seed=4) == p_no_collision_mc(

@@ -13,7 +13,7 @@ from igdist import (
     survival_prob,
 )
 from igdist.errors import ValidationError
-from igdist.graphgen import BipartiteGraph, sample_subset
+from igdist.graphgen import BipartiteGraph, sample_family_subsets
 from igdist.seeding import derive_seed
 
 
@@ -87,17 +87,19 @@ class TestSampling:
         assert pval > 1e-3
 
     def test_subset_sampler_uniform(self):
-        # all C(5,2) = 10 subsets equally likely
+        # all C(5,2) = 10 subsets equally likely, 1000 families per call
         from scipy import stats
 
         rng = np.random.default_rng(8)
-        counts = {}
-        reps = 20_000
-        for _ in range(reps):
-            s = frozenset(sample_subset(rng, 2, 5).tolist())
-            counts[s] = counts.get(s, 0) + 1
+        fam = np.repeat(np.arange(1000), 2)
+        pairs = np.concatenate(
+            [sample_family_subsets(rng, fam, 5).reshape(-1, 2) for _ in range(20)]
+        )
+        pairs.sort(axis=1)
+        assert (pairs[:, 0] < pairs[:, 1]).all()
+        _, counts = np.unique(pairs[:, 0] * 5 + pairs[:, 1], return_counts=True)
         assert len(counts) == 10
-        stat, pval = stats.chisquare(list(counts.values()))
+        stat, pval = stats.chisquare(counts)
         assert pval > 1e-3
 
 

@@ -9,7 +9,6 @@ from igdist.cli import main as cli_main
 from igdist.config import config_from_dict
 from igdist.errors import ConfigError, PopulationCapError
 from igdist.runner import parallel_map, run
-from igdist.seeding import rng_for
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_seeds.json").read_text())
 
@@ -48,12 +47,6 @@ class TestDeriveSeed:
     def test_negative_replicate_rejected(self):
         with pytest.raises(ValueError):
             derive_seed(0, "graph", -1)
-
-    def test_rng_for_streams(self):
-        a = rng_for(5, "x", 0).random(4)
-        b = rng_for(5, "x", 0).random(4)
-        c = rng_for(5, "x", 1).random(4)
-        assert (a == b).all() and (a != c).any()
 
 
 class TestConfig:

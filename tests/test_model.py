@@ -6,7 +6,6 @@ import pytest
 from igdist import (
     ModelParams,
     Rank1Params,
-    c0_c1_estimate,
     degree_bound,
     derived_scalars,
     identity_report,
@@ -218,26 +217,6 @@ class TestIdentityReport:
         bad[0] += 1e-3
         rep = identity_report(replace(two_by_two_spec, mu_tilde=bad))
         assert rep["left_eigen_MY"] > 1e-4
-
-
-class TestC0C1:
-    def test_scalar4_constant(self, scalar4_spec):
-        assert c0_c1_estimate(scalar4_spec, 0) == (1.0, 0.0)
-        assert c0_c1_estimate(scalar4_spec, 20) == (1.0, 0.0)
-
-    def test_monotone_in_horizon(self, rank1_fixture, two_by_two_spec):
-        _, params, _, _, _ = rank1_fixture
-        s = derived_scalars(params)
-        c0_5, c1_5 = c0_c1_estimate(s, 5)
-        c0_10, c1_10 = c0_c1_estimate(s, 10)
-        assert c0_10 >= c0_5 and c1_10 >= c1_5
-        c0_a, c1_a = c0_c1_estimate(two_by_two_spec, 5)
-        c0_b, c1_b = c0_c1_estimate(two_by_two_spec, 10)
-        assert c0_b >= c0_a and c1_b >= c1_a
-
-    def test_negative_horizon_rejected(self, scalar4_spec):
-        with pytest.raises(ValueError):
-            c0_c1_estimate(scalar4_spec, -1)
 
 
 class TestRank1:
