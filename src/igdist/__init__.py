@@ -30,7 +30,6 @@ from .graphgen import (
 from .bpsim import (
     LabeledForest,
     Trajectory,
-    WSample,
     conditioned_w_pool,
     extinction_frequency,
     ghost_scaling,
@@ -78,7 +77,6 @@ __all__ = [
     "pair_distance",
     "empirical_distance_law",
     "Trajectory",
-    "WSample",
     "LabeledForest",
     "simulate",
     "w_sample",

@@ -27,27 +27,20 @@ from .seeding import derive_seed
 
 DEFAULT_POP_CAP = 100_000_000
 
+# extinction_frequency declares a population above this size surviving:
+# dying out from N individuals has probability at most q^N, far below
+# Monte Carlo resolution, and simulating on exactly would overflow any
+# budget
+_SURVIVING_POPULATION = 100_000
+
 
 @dataclass
 class Trajectory:
-    """Per-generation type counts of one run: X over 0..I, Y over 1..I."""
+    """Type counts of one run: X is (I+1, K) over generations 0..I, Y is
+    (I, J) over generations 1..I."""
 
-    X: list[np.ndarray]
-    Y: list[np.ndarray]
-    start: np.ndarray
-
-    @property
-    def horizon(self) -> int:
-        return len(self.X) - 1
-
-
-@dataclass(frozen=True)
-class WSample:
-    """One truncated martingale value tau^-I * nu @ X(I)."""
-
-    value: float
-    horizon: int
-    survived: bool
+    X: np.ndarray
+    Y: np.ndarray
 
 
 @dataclass
@@ -101,24 +94,51 @@ def _check_cap(count: int, cap: int, generation: int) -> None:
         raise PopulationCapError(generation, count, cap)
 
 
-def _step_to_objects(rng, p: ModelParams, X: np.ndarray) -> np.ndarray:
-    """One aggregated vertex->object generation."""
-    Y = np.zeros(p.J, dtype=np.int64)
-    for k in range(p.K):
-        if X[k] == 0:
-            continue
-        Y += rng.binomial(p.m * int(X[k]), p.P[k])
-    return Y
+def _generation(rng, p: ModelParams, x: list) -> tuple[list, list]:
+    """One aggregated vertex -> object -> vertex generation.
+
+    x holds one count per vertex type: a Python int for a lone
+    replicate, which keeps every binomial on numpy's scalar path, or an
+    int64 array over replicates for a batch.  Returns (y, x') in the
+    same form.  Object blocks draw in (k, j) order and vertex blocks in
+    (j, k) order, skipping p_kj = 0; a zero parent count consumes no
+    randomness, so the stream does not depend on which replicates live.
+    """
+    P, m, n = p.P.tolist(), p.m.tolist(), p.n.tolist()
+    zero = 0 * x[0]
+    y = [zero] * len(m)
+    for k, row in enumerate(P):
+        for j, pkj in enumerate(row):
+            if pkj > 0.0:
+                y[j] = y[j] + rng.binomial(m[j] * x[k], pkj)
+    x = [zero] * len(n)
+    for j, col in enumerate(zip(*P)):
+        for k, pkj in enumerate(col):
+            if pkj > 0.0:
+                x[k] = x[k] + rng.binomial(n[k] * y[j], pkj)
+    return y, x
 
 
-def _step_to_vertices(rng, p: ModelParams, Y: np.ndarray) -> np.ndarray:
-    """One aggregated object->vertex generation."""
-    X = np.zeros(p.K, dtype=np.int64)
-    for j in range(p.J):
-        if Y[j] == 0:
-            continue
-        X += rng.binomial(p.n * int(Y[j]), p.P[:, j])
-    return X
+def _largest(total) -> int:
+    """Largest replicate total of an int (one replicate) or an array."""
+    return total if isinstance(total, int) else int(total.max())
+
+
+def _grow(rng, p: ModelParams, x: list, X: np.ndarray, Y: np.ndarray, cap: int):
+    """Fill X[..., i, :] and Y[..., i - 1, :] for i = 1, 2, ... from the
+    generation-0 state x, checking the cap on both sides; rows after
+    every replicate has died out stay zero."""
+    for i in range(1, X.shape[-2]):
+        y, x = _generation(rng, p, x)
+        _check_cap(_largest(sum(y)), cap, i)
+        largest = _largest(sum(x))
+        _check_cap(largest, cap, i)
+        for j, c in enumerate(y):
+            Y[..., i - 1, j] = c
+        for k, c in enumerate(x):
+            X[..., i, k] = c
+        if largest == 0:
+            return
 
 
 def _start_vector(p: ModelParams, start) -> np.ndarray:
@@ -159,17 +179,11 @@ def simulate(
     if generations < 0:
         raise ValidationError("generations must be >= 0")
     x0 = _start_vector(p, start)
-    rng = np.random.default_rng(seed)
-    X = [x0]
-    Y = []
-    for i in range(1, generations + 1):
-        y = _step_to_objects(rng, p, X[-1])
-        _check_cap(int(y.sum()), population_cap, i)
-        x = _step_to_vertices(rng, p, y)
-        _check_cap(int(x.sum()), population_cap, i)
-        Y.append(y)
-        X.append(x)
-    return Trajectory(X=X, Y=Y, start=x0)
+    X = np.zeros((generations + 1, p.K), dtype=np.int64)
+    Y = np.zeros((generations, p.J), dtype=np.int64)
+    X[0] = x0
+    _grow(np.random.default_rng(seed), p, x0.tolist(), X, Y, population_cap)
+    return Trajectory(X=X, Y=Y)
 
 
 def simulate_batch(
@@ -193,27 +207,11 @@ def simulate_batch(
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     x0 = _start_vector(p, start)
-    rng = np.random.default_rng(seed)
-    X = np.empty((reps, generations + 1, p.K), dtype=np.int64)
-    Y = np.empty((reps, generations, p.J), dtype=np.int64)
-    X[:, 0, :] = x0
-    cur = np.broadcast_to(x0, (reps, p.K)).copy()
-    for i in range(1, generations + 1):
-        y = np.zeros((reps, p.J), dtype=np.int64)
-        for k in range(p.K):
-            for j in range(p.J):
-                if p.P[k, j] > 0.0:
-                    y[:, j] += rng.binomial(p.m[j] * cur[:, k], p.P[k, j])
-        _check_cap(int(y.sum(axis=1).max(initial=0)), population_cap, i)
-        x = np.zeros((reps, p.K), dtype=np.int64)
-        for j in range(p.J):
-            for k in range(p.K):
-                if p.P[k, j] > 0.0:
-                    x[:, k] += rng.binomial(p.n[k] * y[:, j], p.P[k, j])
-        _check_cap(int(x.sum(axis=1).max(initial=0)), population_cap, i)
-        Y[:, i - 1, :] = y
-        X[:, i, :] = x
-        cur = x
+    X = np.zeros((reps, generations + 1, p.K), dtype=np.int64)
+    Y = np.zeros((reps, generations, p.J), dtype=np.int64)
+    X[:, 0] = x0
+    x = [np.full(reps, c, dtype=np.int64) for c in x0.tolist()]
+    _grow(np.random.default_rng(seed), p, x, X, Y, population_cap)
     return X, Y
 
 
@@ -224,16 +222,16 @@ def w_sample(
     horizon: int,
     seed: int,
     population_cap: int = DEFAULT_POP_CAP,
-) -> WSample:
-    """One draw of the truncated martingale from a single type-k vertex."""
+) -> float:
+    """One draw of the truncated martingale tau^-I * nu @ X(I) from a
+    single type-k vertex; it is positive exactly when the run survives,
+    since nu is strictly positive."""
     if spec.tau <= 1.0:
         raise ValidationError("tau <= 1: supercritical regime required")
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
     traj = simulate(p, start_type, horizon, seed, population_cap)
-    x_final = traj.X[-1]
-    value = float(spec.nu @ x_final) * spec.tau**-horizon
-    return WSample(value=value, horizon=horizon, survived=bool(x_final.any()))
+    return float(spec.nu @ traj.X[-1]) * spec.tau**-horizon
 
 
 def survival_prob(p: ModelParams, tol: float = 1e-12, max_iter: int = 1_000_000):
@@ -265,34 +263,29 @@ def extinction_frequency(
     horizon: int,
     reps: int,
     seed: int,
-    verdict_cutoff: int = 100_000,
 ) -> float:
     """Monte Carlo fraction of runs extinct by `horizon` generations.
 
-    A population above `verdict_cutoff` is declared surviving: dying
-    out from N individuals has probability at most q^N, which is far
-    below Monte Carlo resolution, and simulating the remaining
-    generations exactly would overflow any budget.
+    All replicates step together on the stream (seed, "extinction"); a
+    replicate leaves the batch when it dies out or when its population
+    passes _SURVIVING_POPULATION, which counts it as surviving.
     """
     validate_params(p)
     if not 0 <= start_type < p.K:
         raise ValidationError(f"invalid vertex type {start_type}")
     if reps < 1:
         raise ValidationError("reps must be >= 1")
+    rng = np.random.default_rng(derive_seed(seed, "extinction"))
+    x = [np.full(reps, int(k == start_type), dtype=np.int64) for k in range(p.K)]
     extinct = 0
-    for r in range(reps):
-        rng = np.random.default_rng(derive_seed(seed, "extinction", r))
-        X = np.zeros(p.K, dtype=np.int64)
-        X[start_type] = 1
-        for _ in range(horizon):
-            y = _step_to_objects(rng, p, X)
-            X = _step_to_vertices(rng, p, y)
-            total = int(X.sum())
-            if total == 0:
-                extinct += 1
-                break
-            if total > verdict_cutoff:
-                break
+    for _ in range(horizon):
+        _, x = _generation(rng, p, x)
+        total = sum(x)
+        extinct += int(np.count_nonzero(total == 0))
+        live = (total > 0) & (total <= _SURVIVING_POPULATION)
+        if not live.any():
+            break
+        x = [c[live] for c in x]
     return extinct / reps
 
 
@@ -316,13 +309,13 @@ def conditioned_w_pool(
     values = []
     attempts = 0
     while len(values) < pool_size:
-        ws = w_sample(
+        value = w_sample(
             p, spec, start_type, horizon, derive_seed(seed, "w", attempts),
             population_cap,
         )
         attempts += 1
-        if ws.survived:
-            values.append(ws.value)
+        if value > 0.0:
+            values.append(value)
         if attempts >= 10_000 and len(values) < attempts * 1e-4:
             raise SimulationError(
                 f"survival too rare: {len(values)}/{attempts} accepted"
@@ -506,15 +499,12 @@ def ghost_scaling(
     """
     if spec.tau <= 1.0:
         raise ValidationError("tau <= 1: supercritical regime required")
+    from .runner import parallel_map  # runner imports this module
+
     tasks = [
         (p, k1, k2, depth, derive_seed(seed, "ghost", r)) for r in range(reps)
     ]
-    if workers > 1:
-        from .runner import parallel_map
-
-        tallies = parallel_map(_ghost_task, tasks, workers)
-    else:
-        tallies = [_ghost_task(t) for t in tasks]
+    tallies = parallel_map(_ghost_task, tasks, workers)
     gx = np.mean([t[0] for t in tallies], axis=0)
     gy = np.mean([t[1] for t in tallies], axis=0)
     e4 = spec.e_mn**4

@@ -318,16 +318,10 @@ def empirical_distance_law(
         raise ValidationError(
             f"insufficient vertices of requested type {k1 + 1}"
         )
-    seeds = [derive_seed(seed, "graph", r) for r in range(reps)]
-    if workers > 1:
-        from .runner import parallel_map
+    from .runner import parallel_map  # runner imports this module
 
-        dists = parallel_map(
-            _distance_task, [(p, k1, k2, s) for s in seeds], workers
-        )
-    else:
-        dists = [sample_pair_distance(p, k1, k2, s) for s in seeds]
-    return DistanceLaw.from_samples(dists)
+    tasks = [(p, k1, k2, derive_seed(seed, "graph", r)) for r in range(reps)]
+    return DistanceLaw.from_samples(parallel_map(_distance_task, tasks, workers))
 
 
 def _distance_task(args):

@@ -9,6 +9,7 @@ count.  Floats are serialized with repr (shortest round-trip form).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -122,33 +123,14 @@ def _default_horizon(cfg: ExperimentConfig, spec) -> int:
 
 
 def _spectral_payload(spec) -> dict:
-    return {
-        "tau": spec.tau,
-        "lambda2_mod": spec.lambda2_mod,
-        "gamma": spec.gamma,
-        "theta": spec.theta,
-        "zeta": spec.zeta,
-        "zeta_star": spec.zeta_star,
-        "Z_star": spec.Z_star,
-        "frak_z": spec.frak_z,
-        "kappa": spec.kappa,
-        "kappa_printed": spec.kappa_printed,
-        "rhoX": spec.rhoX,
-        "rhoY": spec.rhoY,
-        "i0": spec.i0,
-        "phi_n": spec.phi_n,
-        "e_mn": spec.e_mn,
-        "u_mn": spec.u_mn,
-        "n_total": spec.n_total,
-        "m_total": spec.m_total,
-        "mu": spec.mu.tolist(),
-        "nu": spec.nu.tolist(),
-        "mu_tilde": spec.mu_tilde.tolist(),
-        "qX": spec.qX.tolist(),
-        "qY": spec.qY.tolist(),
-        "M_X": spec.M_X.tolist(),
-        "M_Y": spec.M_Y.tolist(),
-    }
+    payload = {}
+    for f in dataclasses.fields(spec):
+        if f.name != "params":
+            value = getattr(spec, f.name)
+            payload[f.name] = (
+                value.tolist() if isinstance(value, np.ndarray) else value
+            )
+    return payload
 
 
 def _run_spectral(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
@@ -204,14 +186,11 @@ def _pools(cfg: ExperimentConfig, w: RunWriter, spec) -> WPools:
     )
 
 
-def _trajectory_rows(traj) -> list[tuple]:
-    rows = []
-    for i, x in enumerate(traj.X):
-        for k, c in enumerate(x):
-            rows.append((i, "X", k + 1, int(c)))
-    for i, y in enumerate(traj.Y, start=1):
-        for j, c in enumerate(y):
-            rows.append((i, "Y", j + 1, int(c)))
+def _trajectory_rows(X, Y) -> list[tuple]:
+    rows = [(i, "X", k + 1, c) for i, x in enumerate(X) for k, c in enumerate(x)]
+    rows += [
+        (i, "Y", j + 1, c) for i, y in enumerate(Y, start=1) for j, c in enumerate(y)
+    ]
     return rows
 
 
@@ -225,7 +204,7 @@ def _run_bp(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
     )
     w.write_csv(
         "trajectory.csv", ["generation", "side", "type", "count"],
-        _trajectory_rows(traj),
+        _trajectory_rows(traj.X, traj.Y),
     )
     sum_x = np.zeros((horizon + 1, cfg.params.K))
     sum_y = np.zeros((horizon, cfg.params.J))
@@ -234,17 +213,11 @@ def _run_bp(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
             cfg.params, cfg.k1, horizon, derive_seed(seed, "rep", r),
             cfg.population_cap,
         )
-        sum_x += np.array(t.X)
-        sum_y += np.array(t.Y)
-    rows = []
-    for i in range(horizon + 1):
-        for k in range(cfg.params.K):
-            rows.append((i, "X", k + 1, sum_x[i, k] / cfg.bp_reps))
-    for i in range(horizon):
-        for j in range(cfg.params.J):
-            rows.append((i + 1, "Y", j + 1, sum_y[i, j] / cfg.bp_reps))
+        sum_x += t.X
+        sum_y += t.Y
     w.write_csv(
-        "trajectory_mean.csv", ["generation", "side", "type", "mean_count"], rows
+        "trajectory_mean.csv", ["generation", "side", "type", "mean_count"],
+        _trajectory_rows(sum_x / cfg.bp_reps, sum_y / cfg.bp_reps),
     )
     _pools(cfg, w, spec)
 

@@ -63,6 +63,23 @@ class TestSimulate:
                 vals = Y[:, i - 1, k]
                 assert abs(vals.mean() - y_want[k]) <= 3 * vals.std() / math.sqrt(reps)
 
+    @pytest.mark.parametrize(
+        "model, start",
+        [
+            ("scalar4", 0),
+            ("two_by_two", 1),
+            (ModelParams(n=[20, 30], m=[25, 15], P=[[0.05, 0.1], [0.0, 0.0]]), [1, 1]),
+        ],
+        ids=["scalar4", "two_by_two", "zero_row"],
+    )
+    def test_lone_replicate_matches_batch_of_one(self, request, model, start):
+        # the scalar and the array binomial paths must draw the same stream
+        p = request.getfixturevalue(model) if isinstance(model, str) else model
+        for seed in range(20):
+            t = simulate(p, start, 8, seed, population_cap=BIG_CAP)
+            X, Y = simulate_batch(p, start, 8, 1, seed, population_cap=BIG_CAP)
+            assert (t.X == X[0]).all() and (t.Y == Y[0]).all()
+
     def test_population_cap_names_generation(self):
         p = ModelParams(n=[1000], m=[1000], P=[[0.02]])  # tau = 400
         with pytest.raises(PopulationCapError, match="generation") as exc:
@@ -80,7 +97,7 @@ class TestSimulate:
         assert t.X[0][0] == 2
 
 
-class TestWSample:
+class TestMartingale:
     def test_zero_model(self):
         p = ModelParams(n=[10], m=[10], P=[[0.0]])
         # tau is undefined for the zero model; build spec on a
@@ -91,10 +108,11 @@ class TestWSample:
     def test_survival_iff_positive(self, scalar4, scalar4_spec):
         pos = neg = 0
         for r in range(200):
-            ws = w_sample(scalar4, scalar4_spec, 0, 6, derive_seed(1, "t", r))
-            assert ws.survived == (ws.value > 0.0)
-            pos += ws.survived
-            neg += not ws.survived
+            seed = derive_seed(1, "t", r)
+            survived = bool(simulate(scalar4, 0, 6, seed).X[-1].any())
+            assert (w_sample(scalar4, scalar4_spec, 0, 6, seed) > 0.0) == survived
+            pos += survived
+            neg += not survived
         assert pos > 0 and neg > 0
 
     def test_martingale_mean_at_three_horizons(self, scalar4, scalar4_spec):
@@ -143,6 +161,21 @@ class TestSurvival:
     def test_extinction_frequency_rejects_zero_reps(self, scalar4):
         with pytest.raises(ValidationError, match="reps must be >= 1"):
             extinction_frequency(scalar4, 0, 5, 0, seed=1)
+
+    def test_extinction_frequency_zero_model_is_one(self):
+        p = ModelParams(n=[10, 5], m=[10, 4], P=[[0.0, 0.0], [0.0, 0.0]])
+        assert extinction_frequency(p, 1, 5, 50, seed=1) == 1.0
+
+    @pytest.mark.parametrize("start_type", [0, 1])
+    def test_extinction_frequency_one_generation_exact(self, two_by_two, start_type):
+        # P[X(1) = 0] = f_k(0) = prod_j (1 - p_kj + p_kj g_j(0))^m_j with
+        # g_j(0) = prod_l (1 - p_lj)^n_l
+        P = two_by_two.P
+        g0 = np.prod((1.0 - P) ** two_by_two.n[:, None], axis=0)
+        f0 = float(np.prod((1.0 - P[start_type] + P[start_type] * g0) ** two_by_two.m))
+        reps = 20_000
+        q_sim = extinction_frequency(two_by_two, start_type, 1, reps, seed=71)
+        assert abs(q_sim - f0) <= 3 * math.sqrt(f0 * (1 - f0) / reps)
 
     def test_max_iter_exhausted_raises(self, scalar4):
         # scalar4 needs more than 3 iterations to reach tol
