@@ -19,7 +19,7 @@ from .graphgen import DistanceLaw
 from .model import SpectralData
 from .errors import ValidationError
 
-_CHUNK = 512
+_BLOCK = 1 << 17  # elements of the one working buffer: 1 MiB of float64
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class WPools:
             self, "pool_b", np.asarray(self.pool_b, dtype=np.float64)
         )
         for pool in (self.pool_a, self.pool_b):
-            if pool.size and pool.min() <= 0.0:
-                raise ValidationError("pooled values must be positive")
+            if not (np.isfinite(pool) & (pool > 0.0)).all():
+                raise ValidationError("pooled values must be positive and finite")
         for s in (self.surv_a, self.surv_b):
             if not 0.0 <= s <= 1.0:
                 raise ValidationError("survival probabilities must be in [0,1]")
@@ -70,12 +70,21 @@ def _require_pools(pools: WPools) -> None:
 
 
 def _pair_mean(pool_a, pool_b, scale: float) -> float:
-    """Mean of exp(-a*b*scale) over all pool pairs, in row chunks."""
+    """Mean of exp(-a*b*scale) over all pool pairs.
+
+    Row blocks of pool_a against all of pool_b go through one buffer of
+    at most _BLOCK elements (one row when pool_b is longer), so working
+    memory stays cache-sized and nothing is allocated per block.
+    """
+    a = pool_a * -scale
+    rows = max(1, min(_BLOCK // len(pool_b), len(a)))
+    buf = np.empty((rows, len(pool_b)))
     total = 0.0
-    for lo in range(0, len(pool_a), _CHUNK):
-        block = pool_a[lo : lo + _CHUNK, None] * pool_b[None, :]
-        total += float(np.exp(-block * scale).sum())
-    return total / (len(pool_a) * len(pool_b))
+    for lo in range(0, len(a), rows):
+        blk = buf[: len(a) - lo]
+        np.multiply.outer(a[lo : lo + rows], pool_b, out=blk)
+        total += float(np.exp(blk, out=blk).sum())
+    return total / (len(a) * len(pool_b))
 
 
 def exceed_prob(spec: SpectralData, pools: WPools, u: int) -> float:

@@ -117,9 +117,15 @@ class RunWriter:
 
 
 def _default_horizon(cfg: ExperimentConfig, spec) -> int:
+    """The configured horizon, else max(12, 2 i0) lowered until tau^h is
+    at most population_cap / 100, so that the mean surviving population
+    stays far below the cap."""
     if cfg.horizon is not None:
         return cfg.horizon
-    return max(12, 2 * spec.i0)
+    h = max(12, 2 * spec.i0)
+    while h > 1 and spec.tau**h > cfg.population_cap / 100:
+        h -= 1
+    return h
 
 
 def _spectral_payload(spec) -> dict:

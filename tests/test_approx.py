@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from igdist import (
     exceed_prob,
     sample_U_tilde,
 )
-from igdist.approx import theta_tilde
+from igdist.approx import _BLOCK, _pair_mean, theta_tilde
 from igdist.errors import ValidationError
 
 POINT_MASS = WPools(pool_a=[1.0], pool_b=[1.0], surv_a=1.0, surv_b=1.0, horizon=12)
@@ -53,6 +54,50 @@ class TestExceedProb:
         empty = WPools(pool_a=[], pool_b=[1.0], surv_a=1.0, surv_b=1.0, horizon=1)
         with pytest.raises(ValidationError, match="empty pool"):
             exceed_prob(scalar4_spec, empty, 0)
+
+
+class TestPairMean:
+    @pytest.mark.parametrize(
+        "len_a, len_b, scale",
+        [
+            (1, 1, 0.7),  # pools of length 1
+            (40, 7, 1.3),  # unequal lengths
+            (300, 1000, 0.2),  # 300 rows is not a multiple of 131 rows per block
+            (3, _BLOCK + 5, 0.5),  # one row per block
+        ],
+    )
+    def test_against_dense_reference(self, len_a, len_b, scale):
+        rng = np.random.default_rng(len_a + len_b)
+        a = rng.lognormal(0.0, 0.5, len_a)
+        b = rng.lognormal(0.1, 0.4, len_b)
+        a0, b0 = a.copy(), b.copy()
+        want = np.exp(-np.multiply.outer(a, b) * scale).mean()
+        assert _pair_mean(a, b, scale) == pytest.approx(want, rel=1e-12)
+        assert (a == a0).all() and (b == b0).all()
+
+    def test_zero_scale_is_exactly_one(self):
+        rng = np.random.default_rng(21)
+        assert _pair_mean(rng.lognormal(size=300), rng.lognormal(size=1000), 0.0) == 1.0
+
+    def test_underflow_to_zero(self):
+        rng = np.random.default_rng(22)
+        a = rng.uniform(0.5, 2.0, 300)
+        b = rng.uniform(0.5, 2.0, 1000)
+        assert np.exp(-np.multiply.outer(a, b) * 1e4).max() == 0.0
+        assert _pair_mean(a, b, 1e4) == 0.0
+
+    def test_working_memory_bounded(self):
+        rng = np.random.default_rng(23)
+        a = rng.lognormal(size=2500)
+        b = rng.lognormal(size=2500)
+        _pair_mean(a, b, 0.3)
+        tracemalloc.start()
+        try:
+            _pair_mean(a, b, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestCdfUPrime:
@@ -188,6 +233,11 @@ class TestWPools:
     def test_nonpositive_values_rejected(self):
         with pytest.raises(ValidationError, match="positive"):
             WPools(pool_a=[0.0], pool_b=[1.0], surv_a=0.5, surv_b=0.5, horizon=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_values_rejected(self, bad):
+        with pytest.raises(ValidationError, match="positive"):
+            WPools(pool_a=[1.0], pool_b=[2.0, bad], surv_a=0.5, surv_b=0.5, horizon=1)
 
     def test_survival_range_enforced(self):
         with pytest.raises(ValidationError):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -8,9 +9,11 @@ from igdist import derive_seed, load_config
 from igdist.cli import main as cli_main
 from igdist.config import config_from_dict
 from igdist.errors import ConfigError, PopulationCapError
-from igdist.runner import parallel_map, run
+from igdist.model import derived_scalars
+from igdist.runner import _default_horizon, parallel_map, run
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_seeds.json").read_text())
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 MINIMAL = {
     "model": {"n": [1000], "m": [1000], "P": [[0.002]]},
@@ -206,6 +209,37 @@ class TestRun:
         assert gen0 == ["0", "X", "1", "1"]
         sides = {line.split(",")[1] for line in lines[1:]}
         assert sides == {"X", "Y"}
+
+
+class TestDefaultHorizon:
+    @pytest.mark.parametrize(
+        "name, want",
+        [("rank1", 8), ("scheme", 9), ("scalar2_compare", 19)],
+    )
+    def test_lowered_below_population_cap(self, name, want):
+        cfg = dataclasses.replace(load_config(CONFIGS / f"{name}.json"), horizon=None)
+        spec = derived_scalars(cfg.params)
+        h = _default_horizon(cfg, spec)
+        assert h == want
+        assert spec.tau**h <= cfg.population_cap / 100 < spec.tau ** (h + 1)
+
+    def test_two_by_two_keeps_12(self):
+        doc = dict(MINIMAL, model={
+            "n": [300, 400], "m": [350, 450], "P": [[0.004, 0.001], [0.0008, 0.003]],
+        })
+        cfg = dataclasses.replace(config_from_dict(doc), horizon=None)
+        assert _default_horizon(cfg, derived_scalars(cfg.params)) == 12
+
+    def test_configured_horizon_untouched(self):
+        cfg = load_config(CONFIGS / "scalar2_compare.json")
+        assert _default_horizon(cfg, derived_scalars(cfg.params)) == 14
+
+    def test_rank1_compare_completes(self, tmp_path):
+        cfg = dataclasses.replace(
+            load_config(CONFIGS / "rank1.json"), graph_reps=20, pool_size=30
+        )
+        out = run("compare", cfg, out_dir=tmp_path / "out")
+        assert len((out / "compare.csv").read_text().splitlines()) == 8
 
 
 class TestCli:
