@@ -58,10 +58,6 @@ class ApproxLaw:
     support: tuple
     exceed: tuple
     defect: float
-    kappa: float
-    tau: float
-    phi_n: float
-    i0: int
 
 
 def _require_pools(pools: WPools) -> None:
@@ -156,10 +152,6 @@ def build_approx_law(
         support=support,
         exceed=exceed,
         defect=1.0 - pools.surv_a * pools.surv_b,
-        kappa=spec.kappa,
-        tau=spec.tau,
-        phi_n=spec.phi_n,
-        i0=spec.i0,
     )
 
 

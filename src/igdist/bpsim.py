@@ -352,8 +352,6 @@ def labeled_growth(
     for k in (k1, k2):
         if not 0 <= k < p.K:
             raise ValidationError(f"invalid vertex type {k}")
-    if k1 == k2 and p.n[k1] < 2:
-        raise ValidationError(f"insufficient vertices of requested type {k1 + 1}")
 
     rng = np.random.default_rng(seed)
     v_off = np.concatenate([[0], np.cumsum(p.n)])

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .coincidence import SamplingScheme, validate_scheme
 from .errors import ConfigError, ValidationError
 from .model import ModelParams, Rank1Params, rank1_build, validate_params
 
@@ -51,7 +52,7 @@ class ExperimentConfig:
     workers: int = 1
     output_dir: str = "out"
     c25: float = 1.0
-    scheme: dict | None = None
+    scheme: SamplingScheme | None = None
     population_cap: int = 100_000_000
     rank1: Rank1Params | None = None
     raw: dict = field(default_factory=dict, repr=False)
@@ -79,6 +80,26 @@ def _rank1_from_block(block: dict) -> tuple[ModelParams, Rank1Params]:
     r = Rank1Params(alpha=np.asarray(block["alpha"]), beta=np.asarray(block["beta"]))
     params, _, _, _ = rank1_build(r, block["n"], block["m"])
     return params, r
+
+
+def _scheme_from_block(block) -> SamplingScheme:
+    if not isinstance(block, dict):
+        raise ConfigError("scheme must be a JSON object")
+    extra = set(block) - {"w", "zA", "zB", "wstar"}
+    if extra:
+        raise ConfigError(f"unknown scheme keys: {sorted(extra)}")
+    for key in ("w", "zA", "zB"):
+        if key not in block:
+            raise ConfigError(f"scheme missing '{key}'")
+    try:
+        s = SamplingScheme(
+            w=block["w"], draws_a=block["zA"], draws_b=block["zB"],
+            excluded=block.get("wstar"),
+        )
+        validate_scheme(s)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid scheme: {e}") from e
+    return s
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -121,7 +142,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if k1 > params.K or k2 > params.K:
         raise ConfigError(f"k1/k2 must be within 1..{params.K}")
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         params=params,
         rank1=rank1,
         seed=int(doc["seed"]),
@@ -135,13 +156,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         workers=positive_type("workers", 1),
         output_dir=str(doc.get("output_dir", "out")),
         c25=float(doc.get("c25", 1.0)),
-        scheme=doc.get("scheme"),
+        scheme=_scheme_from_block(doc["scheme"]) if "scheme" in doc else None,
         population_cap=positive_type("population_cap", 100_000_000),
         raw=doc,
     )
-    if cfg.k1 == cfg.k2 and params.n[cfg.k1] < 2:
-        raise ConfigError("k1 == k2 requires at least two vertices of that type")
-    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

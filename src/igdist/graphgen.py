@@ -314,10 +314,6 @@ def empirical_distance_law(
     for k in (k1, k2):
         if not 0 <= k < p.K:
             raise ValidationError(f"invalid vertex type {k}")
-    if k1 == k2 and p.n[k1] < 2:
-        raise ValidationError(
-            f"insufficient vertices of requested type {k1 + 1}"
-        )
     from .runner import parallel_map  # runner imports this module
 
     tasks = [(p, k1, k2, derive_seed(seed, "graph", r)) for r in range(reps)]

@@ -15,10 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
-
-EIG_TOL = 1e-12
-EIG_MAXITER = 100_000
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -136,53 +133,31 @@ def mean_matrices(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_primitive(M: np.ndarray) -> None:
-    """Reject matrices whose support digraph is not strongly connected
-    and aperiodic."""
+    """Reject matrices whose support S is reducible or periodic.
+
+    S is irreducible iff S + S^2 + ... + S^K has no zero entry, and an
+    irreducible S is aperiodic iff S^((K-1)^2+1) > 0 (Wielandt's bound on
+    the exponent of a primitive matrix); both in Boolean arithmetic.
+    """
     K = M.shape[0]
-    support = M > 0.0
-    adj = [np.flatnonzero(support[k]) for k in range(K)]
-    radj = [np.flatnonzero(support[:, k]) for k in range(K)]
-
-    def reach(start, nbrs):
-        seen = np.zeros(K, dtype=bool)
-        seen[start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in nbrs[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return seen
-
-    if not (reach(0, adj).all() and reach(0, radj).all()):
+    S = M > 0.0
+    reach = S @ np.linalg.matrix_power(S | np.eye(K, dtype=bool), K - 1)
+    if not reach.all():
         raise ValidationError("reducible matrix")
+    if not np.linalg.matrix_power(S, (K - 1) ** 2 + 1).all():
+        raise ValidationError("periodic matrix")
 
-    # Period = gcd over edges of dist[u] + 1 - dist[v] on a BFS tree.
-    dist = np.full(K, -1, dtype=np.int64)
-    dist[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    g = 0
-    for u in range(K):
-        for v in adj[u]:
-            g = math.gcd(g, int(dist[u] + 1 - dist[v]))
-    if g == 0:
-        # strongly connected with no edges: single node without self-loop
-        raise ValidationError("reducible matrix")
-    if g != 1:
-        raise ValidationError(f"periodic matrix (period {g})")
+
+def _dominant(A: np.ndarray) -> tuple[float, np.ndarray]:
+    """Eigenvalue of A with the largest real part and the moduli of its
+    eigenvector, from one dense eigendecomposition."""
+    values, vectors = np.linalg.eig(A)
+    i = int(np.argmax(values.real))
+    return float(values[i].real), np.abs(vectors[:, i].real)
 
 
 def perron(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Dominant eigenvalue with left/right eigenvectors by power iteration.
+    """Dominant eigenvalue with left/right eigenvectors.
 
     Returns (tau, left, right) with ||left||_1 = 1, left @ right = 1 and
     all entries positive.  Requires an irreducible aperiodic matrix.
@@ -194,24 +169,9 @@ def perron(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     if (M < 0).any():
         raise ValidationError("matrix must be nonnegative")
     _check_primitive(M)
-
-    def dominant(A):
-        v = np.full(K, 1.0 / K)
-        lam = 0.0
-        for _ in range(EIG_MAXITER):
-            w = A @ v
-            lam = w.sum()
-            if lam <= 0.0:
-                raise ConvergenceError("no convergence: iterate collapsed")
-            w /= lam
-            if np.abs(A @ w - lam * w).max() <= EIG_TOL * lam:
-                return lam, w
-            v = w
-        raise ConvergenceError(f"no convergence after {EIG_MAXITER} iterations")
-
-    tau_r, right = dominant(M)
-    tau_l, left = dominant(M.T)
-    tau = float(0.5 * (tau_r + tau_l))
+    tau, right = _dominant(M)
+    _, left = _dominant(M.T)
+    left = left / left.sum()
     right = right / (left @ right)
     return tau, left, right
 
@@ -235,20 +195,12 @@ def second_modulus(
     gamma = max(tau, lambda2_mod**2)
     if gamma >= tau * tau:
         raise ValidationError("gamma >= tau^2: second eigenvalue not subdominant")
-    # (s+1) * (sqrt(gamma)/tau)^s is eventually decreasing; stop once it
-    # has stayed below the running max for 10 consecutive s.
+    # theta = max over integers t >= 0 of (t+1) r^t.  The sequence is
+    # unimodal with real maximiser -1/ln r - 1, so the integer maximiser
+    # is its floor (clamped at 0) or the next integer.
     ratio = math.sqrt(gamma) / tau
-    theta = 0.0
-    below = 0
-    s = 0
-    while below < 10:
-        val = (s + 1) * ratio**s
-        if val > theta:
-            theta = val
-            below = 0
-        else:
-            below += 1
-        s += 1
+    s = max(0, math.floor(-1.0 / math.log(ratio) - 1.0))
+    theta = max((t + 1) * ratio**t for t in (s, s + 1))
     return lambda2_mod, gamma, float(theta)
 
 

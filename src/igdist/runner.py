@@ -228,19 +228,6 @@ def _run_bp(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
     _pools(cfg, w, spec)
 
 
-def _scheme_from_dict(doc: dict) -> SamplingScheme:
-    extra = set(doc) - {"w", "zA", "zB", "wstar"}
-    if extra:
-        raise ConfigError(f"unknown scheme keys: {sorted(extra)}")
-    for key in ("w", "zA", "zB"):
-        if key not in doc:
-            raise ConfigError(f"scheme missing '{key}'")
-    return SamplingScheme(
-        w=doc["w"], draws_a=doc["zA"], draws_b=doc["zB"],
-        excluded=doc.get("wstar"),
-    )
-
-
 def _coincidence_rows(schemes, seed: int) -> list[tuple]:
     rows = []
     for s in schemes:
@@ -273,7 +260,7 @@ _COINCIDENCE_HEADER = [
 def _run_coincidence(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
     seed = w.stage_seed("coincidence")
     if cfg.scheme is not None:
-        schemes = [_scheme_from_dict(cfg.scheme)]
+        schemes = [cfg.scheme]
     else:
         schemes = []
         for w_l in range(2, 9):
@@ -373,7 +360,7 @@ def _run_rank1(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
             )
         )
     w.write_csv(
-        "rank1.csv", ["quantity", "closed_form", "power_iteration", "rel_diff"],
+        "rank1.csv", ["quantity", "closed_form", "perron", "rel_diff"],
         rows,
     )
 

@@ -126,6 +126,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            5,
+            {"w": 10, "zA": [[2]], "zB": [[3]]},
+            {"w": [10], "zA": [[2]], "zB": [[30]]},
+        ],
+    )
+    def test_bad_scheme_rejected(self, scheme):
+        with pytest.raises(ConfigError, match="scheme"):
+            config_from_dict(dict(MINIMAL, scheme=scheme))
+
+    def test_scheme_block_parsed(self):
+        cfg = config_from_dict(
+            dict(MINIMAL, scheme={"w": [10], "zA": [[2]], "zB": [[3]]})
+        )
+        assert cfg.scheme.w == (10,) and cfg.scheme.excluded == (0,)
+
 
 class TestParallelMap:
     def test_order_preserved(self):
@@ -257,6 +275,15 @@ class TestCli:
         code = cli_main(["spectral", "--config", str(path)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_bad_scheme_exit_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(MINIMAL, scheme=5))
+        code = cli_main(
+            ["spectral", "--config", str(path), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "scheme" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_runtime_error_exit_three(self, tmp_path, capsys):
         doc = dict(MINIMAL)

@@ -120,12 +120,33 @@ class TestPerron:
     def test_periodic_rejected(self):
         with pytest.raises(ValidationError, match="periodic"):
             perron(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        # the 3-cycle 1 -> 2 -> 3 -> 1 has period 3
+        with pytest.raises(ValidationError, match="periodic"):
+            perron(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
 
     def test_reducible_rejected(self):
         with pytest.raises(ValidationError, match="reducible"):
             perron(np.array([[1.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(ValidationError, match="reducible"):
             perron(np.array([[0.0]]))
+        # type 3 reaches types 1 and 2, but neither reaches it back
+        with pytest.raises(ValidationError, match="reducible"):
+            perron(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]))
+
+    def test_wielandt_matrix_accepted(self):
+        # cycle 1 -> 2 -> 3 -> 1 plus the chord 3 -> 2: primitive, with
+        # exponent exactly (K-1)^2 + 1 = 5, the largest possible for K = 3
+        M = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        S = M > 0
+        assert not np.linalg.matrix_power(S, 4).all()
+        assert np.linalg.matrix_power(S, 5).all()
+        tau, mu, nu = perron(M)
+        # tau is the real root of x^3 = x + 1 (the plastic number)
+        assert tau**3 == pytest.approx(tau + 1.0, rel=1e-14)
+        assert abs(mu.sum() - 1.0) < 1e-14 and abs(mu @ nu - 1.0) < 1e-14
+        assert (mu > 0).all() and (nu > 0).all()
+        assert np.abs(mu @ M - tau * mu).max() <= 1e-14 * tau
+        assert np.abs(M @ nu - tau * nu).max() <= 1e-14 * tau
 
 
 class TestSecondModulus:
@@ -153,6 +174,17 @@ class TestSecondModulus:
         l2, gamma, _ = second_modulus(M, tau, nu, mu)
         assert l2 == pytest.approx(1.5, rel=1e-9)
         assert gamma == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("r", [0.5, 2.0**-0.5, 0.9, 0.999])
+    def test_theta_closed_form_matches_brute_force(self, r):
+        # with lambda_2 = 0, gamma = tau and r = sqrt(tau)/tau; r = 0.5
+        # ties at s = 0 and s = 1
+        tau = 1.0 / r**2
+        _, gamma, theta = second_modulus(
+            np.array([[tau]]), tau, np.array([1.0]), np.array([1.0])
+        )
+        ratio = math.sqrt(gamma) / tau
+        assert theta == max((s + 1) * ratio**s for s in range(10**5))
 
     def test_subcritical_rejected(self):
         with pytest.raises(ValidationError, match="tau <= 1"):
@@ -196,6 +228,20 @@ class TestDerivedScalars:
     def test_subcritical_rejected(self):
         with pytest.raises(ValidationError, match="tau <= 1"):
             derived_scalars(ModelParams(n=[100], m=[100], P=[[0.001]]))
+
+    def test_two_weakly_linked_communities(self):
+        # two types with equal growth that share few objects: the two
+        # eigenvalues of M_X differ by about 4e-5 relative
+        p = ModelParams(
+            n=[1000, 2000], m=[1000, 500], P=[[0.002, 2e-8], [2e-8, 0.002]]
+        )
+        s = derived_scalars(p)
+        (a, b), (c, d) = s.M_X
+        # (tr + sqrt(tr^2 - 4 det)) / 2, with the discriminant written as
+        # (a - d)^2 + 4bc to avoid cancellation
+        exact = 0.5 * (a + d + math.sqrt((a - d) ** 2 + 4.0 * b * c))
+        assert s.tau == pytest.approx(exact, rel=1e-12)
+        assert max(identity_report(s).values()) < 1e-10
 
 
 class TestIdentityReport:
