@@ -193,11 +193,11 @@ def compare(
     u_values = [int(u) for u in u_window if spec.i0 + int(u) >= 0]
     if not u_values:
         raise ValidationError("comparison window is empty")
+    law = build_approx_law(spec, pools, u_values)
     rows = []
     max_diff = 0.0
-    for u in u_values:
+    for u, appr in zip(law.support, law.exceed):
         emp = empirical.prob_greater(spec.i0 + u)
-        appr = exceed_prob(spec, pools, u)
         diff = abs(emp - appr)
         max_diff = max(max_diff, diff)
         rows.append(
@@ -210,13 +210,12 @@ def compare(
             )
         )
     emp_inf = empirical.prob_infinite()
-    defect = 1.0 - pools.surv_a * pools.surv_b
-    defect_diff = abs(emp_inf - defect)
+    defect_diff = abs(emp_inf - law.defect)
     rows.append(
         ComparisonRow(
             u=math.inf,
             empirical_exceed=emp_inf,
-            approx_exceed=defect,
+            approx_exceed=law.defect,
             abs_diff=defect_diff,
             delta_scale=math.nan,
         )

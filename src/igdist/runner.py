@@ -21,7 +21,9 @@ import numpy as np
 
 from . import __version__
 from .approx import WPools, build_approx_law, compare
-from .bpsim import conditioned_w_pool, ghost_scaling, simulate, survival_prob
+from .bpsim import (
+    conditioned_w_pool, ghost_scaling, simulate, simulate_batch, survival_prob,
+)
 from .coincidence import SamplingScheme, poisson_check
 from .config import ExperimentConfig
 from .errors import ConfigError, ValidationError
@@ -51,12 +53,12 @@ def _fmt(x) -> str:
 
 
 class RunWriter:
-    """Collects output files and the manifest; removes partial output
-    when a stage fails."""
+    """Collects output files and the manifest; removes partial output,
+    and the directories this run created for it, when a stage fails."""
 
     def __init__(self, out_dir: Path, config: ExperimentConfig, subcommand: str):
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.created: list[Path] = []  # deepest first
         self.files: list[Path] = []
         self.seeds: dict[str, int] = {}
         self.config = config
@@ -68,8 +70,17 @@ class RunWriter:
         self.seeds[tag] = seed
         return seed
 
+    def _path(self, name: str) -> Path:
+        """Path of an output file; the directory is made on first use."""
+        if not self.out_dir.is_dir():
+            self.created = [
+                d for d in (self.out_dir, *self.out_dir.parents) if not d.exists()
+            ]
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir / name
+
     def write_csv(self, name: str, header: list[str], rows) -> Path:
-        path = self.out_dir / name
+        path = self._path(name)
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(_fmt(x) for x in row))
@@ -78,7 +89,7 @@ class RunWriter:
         return path
 
     def write_json(self, name: str, payload: dict) -> Path:
-        path = self.out_dir / name
+        path = self._path(name)
         path.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", newline="\n"
         )
@@ -91,6 +102,11 @@ class RunWriter:
                 f.unlink()
             except OSError:
                 pass
+        for d in self.created:
+            try:
+                d.rmdir()
+            except OSError:
+                break
 
     def finish(self) -> Path:
         cfg_hash = hashlib.sha256(
@@ -109,7 +125,7 @@ class RunWriter:
             "finished": datetime.now(timezone.utc).isoformat(),
             "outputs": outputs,
         }
-        path = self.out_dir / "manifest.json"
+        path = self._path("manifest.json")
         path.write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n"
         )
@@ -212,18 +228,13 @@ def _run_bp(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
         "trajectory.csv", ["generation", "side", "type", "count"],
         _trajectory_rows(traj.X, traj.Y),
     )
-    sum_x = np.zeros((horizon + 1, cfg.params.K))
-    sum_y = np.zeros((horizon, cfg.params.J))
-    for r in range(cfg.bp_reps):
-        t = simulate(
-            cfg.params, cfg.k1, horizon, derive_seed(seed, "rep", r),
-            cfg.population_cap,
-        )
-        sum_x += t.X
-        sum_y += t.Y
+    X, Y = simulate_batch(
+        cfg.params, cfg.k1, horizon, cfg.bp_reps, derive_seed(seed, "rep"),
+        cfg.population_cap,
+    )
     w.write_csv(
         "trajectory_mean.csv", ["generation", "side", "type", "mean_count"],
-        _trajectory_rows(sum_x / cfg.bp_reps, sum_y / cfg.bp_reps),
+        _trajectory_rows(X.sum(axis=0) / cfg.bp_reps, Y.sum(axis=0) / cfg.bp_reps),
     )
     _pools(cfg, w, spec)
 

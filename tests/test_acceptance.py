@@ -160,7 +160,7 @@ def test_criterion_04_poisson_coincidence_grid():
                     )
                     p0 = p_no_collision_exact(s)
                     lam = lambda_value(s)
-                    b1, b1s, _ = bounds(s)
+                    b1, b1s = bounds(s)
                     cells += 1
                     if abs(p0 - math.exp(-lam)) > b1 + b1s:
                         failures += 1
@@ -192,7 +192,7 @@ def test_criterion_04_poisson_coincidence_grid():
                                 )
                                 p0 = p_no_collision_exact(s)
                                 lam = lambda_value(s)
-                                b1, b1s, _ = bounds(s)
+                                b1, b1s = bounds(s)
                                 cells += 1
                                 if abs(p0 - math.exp(-lam)) > b1 + b1s:
                                     failures += 1

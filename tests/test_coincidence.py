@@ -68,7 +68,7 @@ class TestLambda:
 class TestBounds:
     def test_b1(self):
         s = SamplingScheme(w=[10], draws_a=[[2]], draws_b=[[3]])
-        b1, b1s, _ = bounds(s)
+        b1, b1s = bounds(s)
         assert b1 == pytest.approx(1.0)
         assert b1s == 0.0
 
@@ -79,16 +79,6 @@ class TestBounds:
     def test_b1_star_full_exclusion_equals_lambda(self):
         s = SamplingScheme(w=[10], draws_a=[[2]], draws_b=[[3]], excluded=[10])
         assert bounds(s)[1] == pytest.approx(lambda_value(s), rel=1e-15)
-
-    def test_b2_hand_value(self):
-        s = SamplingScheme(w=[10], draws_a=[[2]], draws_b=[[3]])
-        _, _, b2 = bounds(s, eps_a=[1], eps_b=[1])
-        assert b2 == pytest.approx(0.6, abs=1e-15)
-
-    def test_negative_eps_rejected(self):
-        s = SamplingScheme(w=[10], draws_a=[[2]], draws_b=[[3]])
-        with pytest.raises(ValidationError):
-            bounds(s, eps_a=[-1], eps_b=[0])
 
 
 class TestExact:
@@ -105,14 +95,13 @@ class TestExact:
         assert p_no_collision_exact(s) == 1.0
 
     def test_closed_form_equals_convolution(self):
-        # the two exact paths agree bit for bit where both apply
+        # one draw each, no exclusions: B's draw must miss A's z
+        # elements, C(w - z, z') / C(w, z') exactly
         for w in range(2, 9):
             for z in range(0, min(3, w) + 1):
                 for zp in range(0, min(3, w) + 1):
-                    s = SamplingScheme(w=[w], draws_a=[[z]], draws_b=[[zp]])
-                    closed = p_no_collision_exact(s)
-                    conv = float(_exact_class_prob(w, 0, (z,), (zp,)))
-                    assert closed == conv
+                    closed = Fraction(math.comb(w - z, zp), math.comb(w, zp))
+                    assert _exact_class_prob(w, 0, (z,), (zp,)) == closed
 
     def test_against_brute_force(self):
         cases = [
@@ -125,6 +114,11 @@ class TestExact:
             ),
             SamplingScheme(w=[4], draws_a=[[2]], draws_b=[[2]], excluded=[4]),
             SamplingScheme(w=[6], draws_a=[[0]], draws_b=[[3]]),
+            # several B draws, exclusions on both classes
+            SamplingScheme(
+                w=[7, 5], draws_a=[[2, 2], [1, 2]], draws_b=[[1, 2, 1], [2, 1]],
+                excluded=[2, 1],
+            ),
         ]
         for s in cases:
             assert p_no_collision_exact(s) == brute_force_p_s0(s)

@@ -10,7 +10,7 @@ from igdist.cli import main as cli_main
 from igdist.config import config_from_dict
 from igdist.errors import ConfigError, PopulationCapError
 from igdist.model import derived_scalars
-from igdist.runner import _default_horizon, parallel_map, run
+from igdist.runner import RunWriter, _default_horizon, parallel_map, run
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_seeds.json").read_text())
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -212,6 +212,45 @@ class TestRun:
             run("bp", cfg, out_dir=tmp_path / "out")
         leftovers = list((tmp_path / "out").glob("*.csv"))
         assert leftovers == []
+
+    def test_failed_run_leaves_no_directory(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, MINIMAL))
+        with pytest.raises(ConfigError, match="rank1"):
+            run("rank1", cfg, out_dir=tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
+    def test_discard_removes_only_created_directories(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, MINIMAL))
+        w = RunWriter(tmp_path / "a" / "b", cfg, "spectral")
+        w.write_csv("x.csv", ["x"], [(1,)])
+        w.discard()
+        assert not (tmp_path / "a").exists()
+        (tmp_path / "kept").mkdir()
+        w = RunWriter(tmp_path / "kept", cfg, "spectral")
+        w.write_csv("x.csv", ["x"], [(1,)])
+        w.discard()
+        assert (tmp_path / "kept").is_dir()
+        assert list((tmp_path / "kept").iterdir()) == []
+
+    def test_trajectory_mean_martingale(self, tmp_path):
+        # E[X(h)] tau^-h = 1 for the scalar model; one vertex generation
+        # has offspring Bin(n Bin(m, p), p), so with sigma^2 its variance
+        # Var(X(h) tau^-h) = sigma^2 (1 - tau^-h) / (tau (tau - 1)).
+        # Seed 4242 and the 4-SE bound were fixed before the first run.
+        doc = dict(MINIMAL, reps={"graph": 40, "pool": 20, "bp": 4000})
+        cfg = load_config(write_config(tmp_path, doc))
+        out = run("bp", cfg, out_dir=tmp_path / "out")
+        n, m, p, h = 1000, 1000, 0.002, cfg.horizon
+        tau = n * m * p * p
+        sigma2 = m * p * n * p * (1 - p) + (n * p) ** 2 * m * p * (1 - p)
+        var = sigma2 * (1 - tau**-h) / (tau * (tau - 1))
+        rows = [
+            line.split(",")
+            for line in (out / "trajectory_mean.csv").read_text().splitlines()[1:]
+        ]
+        x_h = [float(r[3]) for r in rows if r[1] == "X" and int(r[0]) == h]
+        assert len(x_h) == 1
+        assert abs(x_h[0] * tau**-h - 1.0) <= 4.0 * (var / cfg.bp_reps) ** 0.5
 
     def test_unknown_subcommand(self, tmp_path):
         cfg = load_config(write_config(tmp_path, MINIMAL))
