@@ -20,6 +20,7 @@ from .model import SpectralData
 from .errors import ValidationError
 
 _BLOCK = 1 << 17  # elements of the one working buffer: 1 MiB of float64
+_TOL = 1e-15  # interpolation error allowed in the pair mean
 
 
 @dataclass(frozen=True)
@@ -65,22 +66,87 @@ def _require_pools(pools: WPools) -> None:
         raise ValidationError("empty pool")
 
 
-def _pair_mean(pool_a, pool_b, scale: float) -> float:
-    """Mean of exp(-a*b*scale) over all pool pairs.
+def _chebyshev_degree(lo: float, hi: float) -> float:
+    """Degree at which Chebyshev interpolation of
+    f(x) = mean_b exp(-e^x b) on [log lo, log hi] is within _TOL of f.
 
-    Row blocks of pool_a against all of pool_b go through one buffer of
-    at most _BLOCK elements (one row when pool_b is longer), so working
-    memory stays cache-sized and nothing is allocated per block.
+    For b > 0, f is analytic with |f| <= 1 on the strip |Im x| < pi/2.
+    The Bernstein ellipse fitting that strip has
+    rho = (pi/2 + hypot(pi/2, h))/h, h the half log-range, and the
+    interpolant at the deg + 1 points cos(j pi/deg) is within
+    4 rho^-deg/(rho - 1) of f (Trefethen, Approximation Theory and
+    Approximation Practice, Thm 8.2).  Infinite when the range is empty,
+    touches zero or is unbounded.
     """
-    a = pool_a * -scale
-    rows = max(1, min(_BLOCK // len(pool_b), len(a)))
+    if not 0.0 < lo < hi < math.inf:
+        return math.inf
+    h = 0.5 * (math.log(hi) - math.log(lo))
+    rho = (0.5 * math.pi + math.hypot(0.5 * math.pi, h)) / h
+    return max(1, math.ceil(math.log(4.0 / ((rho - 1.0) * _TOL)) / math.log(rho)))
+
+
+def _laplace_mean(t: np.ndarray, pool_b: np.ndarray) -> np.ndarray:
+    """mean_b exp(-t_i b) at each t_i >= 0: pool_b's empirical Laplace
+    transform.
+
+    The transform is evaluated at the nodes of _chebyshev_degree on
+    [log min t, log max t] and interpolated at log t by cosine-sum
+    coefficients and Clenshaw's recurrence.  It is evaluated at t itself
+    where that takes no more elementwise work (always when t has no more
+    points than the nodes), or where the (deg+1)^2 cosine table would
+    outgrow _BLOCK.  Rows of exp(-outer(points, b)) go through one
+    buffer of at most _BLOCK elements (one row when pool_b is longer),
+    so working memory stays bounded at any pool size.
+    """
+    lo, hi = float(t.min()), float(t.max())
+    n = _chebyshev_degree(lo, hi) + 1  # nodes
+    # every pair, against f at the nodes, Clenshaw at t and the n^2 table
+    work = n * (len(pool_b) + len(t) + n)
+    direct = len(t) * len(pool_b) <= work or n * n > _BLOCK
+    if direct:
+        points = t
+    else:
+        deg = n - 1
+        mid = 0.5 * (math.log(hi) + math.log(lo))
+        half = 0.5 * (math.log(hi) - math.log(lo))
+        cosines = np.cos(np.arange(2 * deg) * (math.pi / deg))  # cos(m pi/deg)
+        points = np.exp(mid + half * cosines[:n])
+    rows = max(1, min(_BLOCK // len(pool_b), len(points)))
     buf = np.empty((rows, len(pool_b)))
-    total = 0.0
-    for lo in range(0, len(a), rows):
-        blk = buf[: len(a) - lo]
-        np.multiply.outer(a[lo : lo + rows], pool_b, out=blk)
-        total += float(np.exp(blk, out=blk).sum())
-    return total / (len(a) * len(pool_b))
+    f = np.empty(len(points))
+    for lo_row in range(0, len(points), rows):
+        blk = buf[: len(points) - lo_row]
+        np.multiply.outer(-points[lo_row : lo_row + rows], pool_b, out=blk)
+        np.exp(blk, out=blk).sum(axis=1, out=f[lo_row : lo_row + rows])
+    f /= len(pool_b)
+    if direct:
+        return f
+    # c_k = (2/deg) sum_j'' f_j cos(j k pi/deg), ends halved, with the
+    # angle j k pi/deg reduced mod 2 pi in integers
+    f[[0, -1]] *= 0.5
+    k = np.arange(n)
+    coef = cosines[np.multiply.outer(k, k) % (2 * deg)] @ f * (2.0 / deg)
+    coef[[0, -1]] *= 0.5
+    y = (np.log(t) - mid) / half
+    y2 = 2.0 * y
+    b1 = b2 = np.zeros_like(y)
+    for c in coef[:0:-1].tolist():
+        b1, b2 = y2 * b1 - b2 + c, b1
+    return y * b1 - b2 + coef[0]
+
+
+def _pair_mean(pool_a, pool_b, scale: float) -> float:
+    """Mean of exp(-a*b*scale) over all pool pairs, to within _TOL."""
+    with np.errstate(over="ignore"):  # a*b*scale = inf adds exp(-inf) = 0
+        return float(_laplace_mean(pool_a * scale, pool_b).mean())
+
+
+def _power(tau: float, u: float) -> float:
+    """tau**u, or inf where it overflows."""
+    try:
+        return tau**u
+    except OverflowError:
+        return math.inf
 
 
 def exceed_prob(spec: SpectralData, pools: WPools, u: int) -> float:
@@ -91,7 +157,7 @@ def exceed_prob(spec: SpectralData, pools: WPools, u: int) -> float:
     """
     _require_pools(pools)
     sab = pools.surv_a * pools.surv_b
-    scale = spec.kappa * spec.tau**u * spec.phi_n
+    scale = spec.kappa * _power(spec.tau, u) * spec.phi_n
     return (1.0 - sab) + sab * _pair_mean(pools.pool_a, pools.pool_b, scale)
 
 
@@ -99,7 +165,7 @@ def cdf_U_prime(spec: SpectralData, pools: WPools, u: float) -> float:
     """CDF of the uncentered Gumbel mixture at real argument u."""
     _require_pools(pools)
     sab = pools.surv_a * pools.surv_b
-    scale = spec.kappa * spec.tau**u
+    scale = spec.kappa * _power(spec.tau, u)
     return sab * (1.0 - _pair_mean(pools.pool_a, pools.pool_b, scale))
 
 

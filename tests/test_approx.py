@@ -11,14 +11,30 @@ from igdist import (
     build_approx_law,
     cdf_U_prime,
     compare,
+    conditioned_w_pool,
     delta_error_scale,
+    derived_scalars,
     exceed_prob,
     sample_U_tilde,
 )
-from igdist.approx import _BLOCK, _pair_mean, theta_tilde
+from igdist.approx import _BLOCK, _chebyshev_degree, _pair_mean, theta_tilde
 from igdist.errors import ValidationError
 
 POINT_MASS = WPools(pool_a=[1.0], pool_b=[1.0], surv_a=1.0, surv_b=1.0, horizon=12)
+
+
+def dense_pair_mean(pool_a, pool_b, scale):
+    """Oracle: exp(-a*b*scale) at every pair, in row blocks of at most
+    _BLOCK elements."""
+    a = pool_a * -scale
+    rows = max(1, min(_BLOCK // len(pool_b), len(a)))
+    buf = np.empty((rows, len(pool_b)))
+    total = 0.0
+    for lo in range(0, len(a), rows):
+        blk = buf[: len(a) - lo]
+        np.multiply.outer(a[lo : lo + rows], pool_b, out=blk)
+        total += float(np.exp(blk, out=blk).sum())
+    return total / (len(a) * len(pool_b))
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +60,14 @@ class TestExceedProb:
             1.0, abs=1e-12
         )
 
+    def test_limit_at_plus_infinity(self, scalar4_spec, random_pools):
+        # u = 511 overflows a*b*scale, u = 600 overflows tau**u itself
+        defect = 1.0 - random_pools.surv_a * random_pools.surv_b
+        for u in (511, 600):
+            assert exceed_prob(scalar4_spec, random_pools, u) == pytest.approx(
+                defect, abs=1e-12
+            )
+
     def test_monotone_nonincreasing(self, scalar4_spec, random_pools):
         vals = [exceed_prob(scalar4_spec, random_pools, u) for u in range(-4, 6)]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
@@ -60,10 +84,10 @@ class TestPairMean:
     @pytest.mark.parametrize(
         "len_a, len_b, scale",
         [
-            (1, 1, 0.7),  # pools of length 1
-            (40, 7, 1.3),  # unequal lengths
-            (300, 1000, 0.2),  # 300 rows is not a multiple of 131 rows per block
-            (3, _BLOCK + 5, 0.5),  # one row per block
+            (1, 1, 0.7),  # pools of length 1: direct
+            (40, 7, 1.3),  # direct: fewer pairs than the interpolation costs
+            (300, 1000, 0.2),  # interpolated
+            (3, _BLOCK + 5, 0.5),  # direct, one row per block
         ],
     )
     def test_against_dense_reference(self, len_a, len_b, scale):
@@ -88,16 +112,87 @@ class TestPairMean:
 
     def test_working_memory_bounded(self):
         rng = np.random.default_rng(23)
-        a = rng.lognormal(size=2500)
-        b = rng.lognormal(size=2500)
-        _pair_mean(a, b, 0.3)
+        for size in (2500, 20000):
+            a = rng.lognormal(size=size)
+            b = rng.lognormal(size=size)
+            _pair_mean(a, b, 0.3)
+            tracemalloc.start()
+            try:
+                _pair_mean(a, b, 0.3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
+
+
+class TestPairMeanAgainstOracle:
+    """The interpolated pair mean against every pair, rel=1e-12."""
+
+    def test_wide_lognormal_pools(self):
+        rng = np.random.default_rng(31)
+        a = rng.lognormal(0.0, 3.0, 5000)
+        b = rng.lognormal(0.0, 3.0, 5000)
+        want = dense_pair_mean(a, b, 1.0)
+        assert _pair_mean(a, b, 1.0) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "top", [1.7, np.nextafter(1.7, 2.0), 1.7 + 1e-9], ids=["tied", "ulp", "near"]
+    )
+    def test_tied_pool(self, top):
+        rng = np.random.default_rng(32)
+        a = np.full(500, 1.7)
+        a[-1] = top
+        b = rng.lognormal(0.0, 1.0, 400)
+        want = dense_pair_mean(a, b, 1.0)
+        assert _pair_mean(a, b, 1.0) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_pool_as_long_as_the_nodes(self, extra):
+        # deg + 1 nodes: lengths deg and deg + 1 go direct; deg + 2 is
+        # interpolated because pool B is longer than 2 (deg+1)^2 + deg + 1
+        scale = 0.8
+        deg = _chebyshev_degree(0.05 * scale, 20.0 * scale)
+        a = np.geomspace(0.05, 20.0, deg + 1 + extra)
+        assert a.min() * scale == 0.05 * scale and a.max() * scale == 20.0 * scale
+        b = np.random.default_rng(33).lognormal(0.0, 1.0, 20000)
+        assert len(b) > 2 * (deg + 1) ** 2 + deg + 1
+        want = dense_pair_mean(a, b, scale)
+        assert _pair_mean(a, b, scale) == pytest.approx(want, rel=1e-12)
+
+    def test_wide_range_stays_in_memory(self):
+        # 18 decades need deg + 1 > sqrt(_BLOCK) nodes, so the cosine
+        # table would outgrow _BLOCK: the pool is evaluated directly
+        a = np.geomspace(1e-9, 1e9, 2000)
+        b = np.random.default_rng(38).lognormal(0.0, 1.0, 500)
+        assert (_chebyshev_degree(1e-9, 1e9) + 1) ** 2 > _BLOCK
+        want = dense_pair_mean(a, b, 1.0)
         tracemalloc.start()
         try:
-            _pair_mean(a, b, 0.3)
+            got = _pair_mean(a, b, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert got == pytest.approx(want, rel=1e-12)
         assert peak < 4 * 2**20
+
+    def test_scalar4_w_pools(self, scalar4, scalar4_spec):
+        a = conditioned_w_pool(scalar4, scalar4_spec, 0, 8, 2000, seed=34)
+        b = conditioned_w_pool(scalar4, scalar4_spec, 0, 8, 2000, seed=35)
+        s = scalar4_spec
+        for u in (-2, 0, 2):
+            scale = s.kappa * s.tau**u * s.phi_n
+            want = dense_pair_mean(a, b, scale)
+            assert _pair_mean(a, b, scale) == pytest.approx(want, rel=1e-12)
+
+    def test_rank1_w_pools(self, rank1_fixture):
+        params = rank1_fixture[1]
+        s = derived_scalars(params)
+        a = conditioned_w_pool(params, s, 0, 8, 1000, seed=36)
+        b = conditioned_w_pool(params, s, 1, 8, 1000, seed=37)
+        for u in (-2, 0, 2):
+            scale = s.kappa * s.tau**u * s.phi_n
+            want = dense_pair_mean(a, b, scale)
+            assert _pair_mean(a, b, scale) == pytest.approx(want, rel=1e-12)
 
 
 class TestCdfUPrime:
@@ -110,6 +205,14 @@ class TestCdfUPrime:
         assert cdf_U_prime(scalar4_spec, random_pools, -80.0) == pytest.approx(
             0.0, abs=1e-12
         )
+
+    def test_limit_at_plus_infinity(self, scalar4_spec, random_pools):
+        # u = 511 overflows a*b*scale, u = 600 overflows tau**u itself
+        sab = random_pools.surv_a * random_pools.surv_b
+        for u in (511.0, 600.0):
+            assert cdf_U_prime(scalar4_spec, random_pools, u) == pytest.approx(
+                sab, abs=1e-12
+            )
 
     def test_translation_identity(self, scalar4_spec, random_pools):
         # 1 - exceed(u) = cdf(u + log phi / log tau), exactly
