@@ -18,7 +18,6 @@ from .model import (
     perron,
     rank1_build,
     second_modulus,
-    validate_params,
 )
 from .graphgen import (
     BipartiteGraph,
@@ -63,7 +62,6 @@ __all__ = [
     "ModelParams",
     "Rank1Params",
     "SpectralData",
-    "validate_params",
     "mean_matrices",
     "perron",
     "second_modulus",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphgen import DistanceLaw
-from .model import SpectralData
+from .model import SpectralData, _readonly
 from .errors import ValidationError
 
 _BLOCK = 1 << 17  # elements of the one working buffer: 1 MiB of float64
@@ -26,7 +26,9 @@ _TOL = 1e-15  # interpolation error allowed in the pair mean
 @dataclass(frozen=True)
 class WPools:
     """Conditioned positive martingale-limit samples for the two roots,
-    with the survival probabilities that weight them."""
+    with the survival probabilities that weight them.  Checked once, on
+    construction: nonempty pools of positive finite values, held as
+    read-only copies, and survival probabilities in [0,1]."""
 
     pool_a: np.ndarray
     pool_b: np.ndarray
@@ -35,13 +37,11 @@ class WPools:
     horizon: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "pool_a", np.asarray(self.pool_a, dtype=np.float64)
-        )
-        object.__setattr__(
-            self, "pool_b", np.asarray(self.pool_b, dtype=np.float64)
-        )
+        object.__setattr__(self, "pool_a", _readonly(self.pool_a, np.float64))
+        object.__setattr__(self, "pool_b", _readonly(self.pool_b, np.float64))
         for pool in (self.pool_a, self.pool_b):
+            if pool.size == 0:
+                raise ValidationError("empty pool")
             if not (np.isfinite(pool) & (pool > 0.0)).all():
                 raise ValidationError("pooled values must be positive and finite")
         for s in (self.surv_a, self.surv_b):
@@ -59,11 +59,6 @@ class ApproxLaw:
     support: tuple
     exceed: tuple
     defect: float
-
-
-def _require_pools(pools: WPools) -> None:
-    if pools.pool_a.size == 0 or pools.pool_b.size == 0:
-        raise ValidationError("empty pool")
 
 
 def _chebyshev_degree(lo: float, hi: float) -> float:
@@ -155,7 +150,6 @@ def exceed_prob(spec: SpectralData, pools: WPools, u: int) -> float:
     The zero atoms of the unconditioned limits contribute exp(0) = 1,
     giving the defect plus a weighted pair average over the pools.
     """
-    _require_pools(pools)
     sab = pools.surv_a * pools.surv_b
     scale = spec.kappa * _power(spec.tau, u) * spec.phi_n
     return (1.0 - sab) + sab * _pair_mean(pools.pool_a, pools.pool_b, scale)
@@ -163,7 +157,6 @@ def exceed_prob(spec: SpectralData, pools: WPools, u: int) -> float:
 
 def cdf_U_prime(spec: SpectralData, pools: WPools, u: float) -> float:
     """CDF of the uncentered Gumbel mixture at real argument u."""
-    _require_pools(pools)
     sab = pools.surv_a * pools.surv_b
     scale = spec.kappa * _power(spec.tau, u)
     return sab * (1.0 - _pair_mean(pools.pool_a, pools.pool_b, scale))
@@ -177,7 +170,6 @@ def sample_U_tilde(
     Each sample combines a standard Gumbel with independent resamples
     from the two pools: -(G + log a + log b + log kappa)/log tau.
     """
-    _require_pools(pools)
     if count < 1:
         raise ValidationError("count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -194,15 +186,15 @@ def theta_tilde(spec: SpectralData, i: int) -> float:
     return math.sqrt(i + 1.0) * (spec.gamma / spec.tau**2) ** (i / 4.0)
 
 
-def delta_error_scale(spec: SpectralData, y: float, c25: float = 1.0) -> float:
+def delta_error_scale(spec: SpectralData, y: float) -> float:
     """Structural error scale of the distance approximation at level y.
 
-    Reported up to the configurable constant c25 (default 1); this is a
-    scale, not a certified bound.
+    Reported with the unspecified constant of the bound set to 1; this is
+    a scale, not a certified bound.
     """
     n4 = spec.n_total**0.25
     e = spec.e_mn
-    return c25 * (
+    return (
         (y**1.5 + 1.0) * min(n4 * e**2, 1.0)
         + (y + 1.0) * n4 * e * theta_tilde(spec, spec.i0)
     )
@@ -245,7 +237,6 @@ def compare(
     spec: SpectralData,
     pools: WPools,
     u_window=None,
-    c25: float = 1.0,
 ) -> ComparisonTable:
     """Empirical exceedances against the branching-process approximation.
 
@@ -253,7 +244,6 @@ def compare(
     approximate exceedance, plus a defect row comparing the empirical
     infinite mass with 1 - surv_a * surv_b.
     """
-    _require_pools(pools)
     if u_window is None:
         u_window = range(-2, 4)
     u_values = [int(u) for u in u_window if spec.i0 + int(u) >= 0]
@@ -272,7 +262,7 @@ def compare(
                 empirical_exceed=emp,
                 approx_exceed=appr,
                 abs_diff=diff,
-                delta_scale=delta_error_scale(spec, spec.tau**u, c25),
+                delta_scale=delta_error_scale(spec, spec.tau**u),
             )
         )
     emp_inf = empirical.prob_infinite()

@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .graphgen import BipartiteGraph, pair_distance, sample_family_subsets
-from .model import ModelParams, SpectralData, validate_params
+from .model import ModelParams, SpectralData
 from .seeding import derive_seed
 
 DEFAULT_POP_CAP = 100_000_000
@@ -85,7 +85,9 @@ class LabeledForest:
     def distance(self):
         """Intersection-graph distance between the two roots; inf when
         not connected within depth."""
-        g = BipartiteGraph.from_edges(self.params, self.edges_v, self.edges_o)
+        g = BipartiteGraph.from_edges(
+            self.params.n, self.params.m, self.edges_v, self.edges_o
+        )
         return pair_distance(g, self.root_a, self.root_b)
 
 
@@ -175,7 +177,6 @@ def simulate(
     `start` is a single 0-based vertex type or a length-K count vector.
     Deterministic given the seed.
     """
-    validate_params(p)
     if generations < 0:
         raise ValidationError("generations must be >= 0")
     x0 = _start_vector(p, start)
@@ -201,7 +202,6 @@ def simulate_batch(
     stream, so the batch is deterministic given (seed, reps); use
     `simulate` when each replicate must own a substream.
     """
-    validate_params(p)
     if generations < 0:
         raise ValidationError("generations must be >= 0")
     if reps < 1:
@@ -226,8 +226,6 @@ def w_sample(
     """One draw of the truncated martingale tau^-I * nu @ X(I) from a
     single type-k vertex; it is positive exactly when the run survives,
     since nu is strictly positive."""
-    if spec.tau <= 1.0:
-        raise ValidationError("tau <= 1: supercritical regime required")
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
     traj = simulate(p, start_type, horizon, seed, population_cap)
@@ -243,7 +241,6 @@ def survival_prob(p: ModelParams, tol: float = 1e-12, max_iter: int = 1_000_000)
     with {W > 0} (almost-sure positivity on non-extinction).  Raises
     ConvergenceError when `max_iter` iterations leave a step >= tol.
     """
-    validate_params(p)
     P = p.P
     s = np.zeros(p.K)
     for _ in range(max_iter):
@@ -270,7 +267,6 @@ def extinction_frequency(
     replicate leaves the batch when it dies out or when its population
     passes _SURVIVING_POPULATION, which counts it as surviving.
     """
-    validate_params(p)
     if not 0 <= start_type < p.K:
         raise ValidationError(f"invalid vertex type {start_type}")
     if reps < 1:
@@ -346,7 +342,6 @@ def labeled_growth(
     and distances are unchanged in law, but deep ghost tallies then only
     count ghosts fathered by kept individuals.
     """
-    validate_params(p)
     if depth < 1:
         raise ValidationError("depth must be >= 1")
     for k in (k1, k2):
@@ -495,8 +490,6 @@ def ghost_scaling(
     sqrt(m/n) tau^{2(i-1)} e(m,n)^4.  Non-growing ratios are the
     empirical signature of the uniform ghost-mean bound.
     """
-    if spec.tau <= 1.0:
-        raise ValidationError("tau <= 1: supercritical regime required")
     from .runner import parallel_map  # runner imports this module
 
     tasks = [

@@ -31,7 +31,8 @@ class SamplingScheme:
 
     w[l] is the universe size of class l, draws_a[l] / draws_b[l] the
     subset sizes each player draws from it, excluded[l] the size of the
-    set whose collisions are not counted.
+    set whose collisions are not counted.  Checked once, on
+    construction: w_l >= 2, every draw and w*_l in [0, w_l].
     """
 
     w: tuple
@@ -50,6 +51,19 @@ class SamplingScheme:
         if excluded is None:
             excluded = [0] * len(self.w)
         object.__setattr__(self, "excluded", tuple(int(x) for x in excluded))
+        lengths = {len(self.draws_a), len(self.draws_b), len(self.excluded)}
+        if lengths != {self.L}:
+            raise ValidationError("per-class lists must share one length")
+        for l in range(self.L):
+            if self.w[l] < 2:
+                raise ValidationError(f"w_{l + 1} = {self.w[l]} < 2")
+            if self.excluded[l] < 0 or self.excluded[l] > self.w[l]:
+                raise ValidationError(f"w*_{l + 1} out of [0, w_{l + 1}]")
+            for z in self.draws_a[l] + self.draws_b[l]:
+                if z < 0 or z > self.w[l]:
+                    raise ValidationError(
+                        f"draw size {z} out of [0, w_{l + 1}] in class {l + 1}"
+                    )
 
     @property
     def L(self) -> int:
@@ -62,24 +76,8 @@ class SamplingScheme:
         return np.array([sum(d) for d in self.draws_b], dtype=np.int64)
 
 
-def validate_scheme(s: SamplingScheme) -> None:
-    if not (len(s.draws_a) == len(s.draws_b) == len(s.excluded) == s.L):
-        raise ValidationError("per-class lists must share one length")
-    for l in range(s.L):
-        if s.w[l] < 2:
-            raise ValidationError(f"w_{l + 1} = {s.w[l]} < 2")
-        if s.excluded[l] < 0 or s.excluded[l] > s.w[l]:
-            raise ValidationError(f"w*_{l + 1} out of [0, w_{l + 1}]")
-        for z in s.draws_a[l] + s.draws_b[l]:
-            if z < 0 or z > s.w[l]:
-                raise ValidationError(
-                    f"draw size {z} out of [0, w_{l + 1}] in class {l + 1}"
-                )
-
-
 def lambda_value(s: SamplingScheme) -> float:
     """Poisson mean sum_l z_l z'_l / w_l of cross-collision pairs."""
-    validate_scheme(s)
     return float(np.sum(s.z_a() * s.z_b() / np.asarray(s.w, dtype=np.float64)))
 
 
@@ -89,7 +87,6 @@ def bounds(s: SamplingScheme) -> tuple[float, float]:
     B1 = 2 sum_l (z_l + z'_l)/w_l covers the dependence between pairs;
     B1* = sum_l z_l z'_l w*_l / w_l^2 the removed excluded-set mass.
     """
-    validate_scheme(s)
     w = np.asarray(s.w, dtype=np.float64)
     za, zb = s.z_a(), s.z_b()
     b1 = float(2.0 * np.sum((za + zb) / w))
@@ -155,7 +152,6 @@ def p_no_collision_exact(s: SamplingScheme) -> float:
     `poisson_check` values by Monte Carlo, and the benchmark's scheme
     grid and the tests pin that split.
     """
-    validate_scheme(s)
     single = all(
         len(s.draws_a[l]) == 1 and len(s.draws_b[l]) == 1 for l in range(s.L)
     )
@@ -193,7 +189,6 @@ def p_no_collision_mc(
     (replicate, draw) is one family of `sample_family_subsets`, and a
     replicate collides when one of B's keys is in A's union.
     """
-    validate_scheme(s)
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     rng = np.random.default_rng(derive_seed(seed, "coincidence"))
@@ -246,7 +241,6 @@ def poisson_check(
     Uses the exact probability when affordable, otherwise Monte Carlo
     with a 3-sigma allowance added to the bound.
     """
-    validate_scheme(s)
     lam = lambda_value(s)
     b1, b1_star = bounds(s)
     try:

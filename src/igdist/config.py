@@ -3,7 +3,8 @@
 A config names exactly one model (explicit P or rank-1 factors), the
 two root vertex types (1-based in the file, as in all user-facing
 labels), per-stage replicate counts, horizons, and a mandatory master
-seed.  Unknown keys are rejected so that typos fail loudly.
+seed.  Unknown keys are rejected so that typos fail loudly, and integer
+fields must be JSON integers, never bools, floats or strings.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .coincidence import SamplingScheme, validate_scheme
+from .coincidence import SamplingScheme
 from .errors import ConfigError, ValidationError
-from .model import ModelParams, Rank1Params, rank1_build, validate_params
+from .model import ModelParams, Rank1Params, rank1_build
 
 _TOP_KEYS = {
     "model",
@@ -29,7 +30,6 @@ _TOP_KEYS = {
     "seed",
     "workers",
     "output_dir",
-    "c25",
     "scheme",
     "population_cap",
 }
@@ -51,11 +51,15 @@ class ExperimentConfig:
     depth: int = 6
     workers: int = 1
     output_dir: str = "out"
-    c25: float = 1.0
     scheme: SamplingScheme | None = None
     population_cap: int = 100_000_000
     rank1: Rank1Params | None = None
     raw: dict = field(default_factory=dict, repr=False)
+
+
+def _is_integer(v) -> bool:
+    """A JSON integer: not a bool, float, string or list."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _model_from_block(block: dict) -> ModelParams:
@@ -96,7 +100,6 @@ def _scheme_from_block(block) -> SamplingScheme:
             w=block["w"], draws_a=block["zA"], draws_b=block["zB"],
             excluded=block.get("wstar"),
         )
-        validate_scheme(s)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid scheme: {e}") from e
     return s
@@ -110,13 +113,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "seed" not in doc:
         raise ConfigError("seed required")
+    if not _is_integer(doc["seed"]):
+        raise ConfigError("seed must be an integer")
     if ("model" in doc) == ("rank1" in doc):
         raise ConfigError("exactly one model block required ('model' or 'rank1')")
 
     rank1 = None
     if "model" in doc:
         params = _model_from_block(doc["model"])
-        validate_params(params)
     else:
         params, rank1 = _rank1_from_block(doc["rank1"])
 
@@ -126,14 +130,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             f"reps must be an object with keys among {sorted(_REP_KEYS)}"
         )
     for key, v in reps.items():
-        if not isinstance(v, int) or v < 1:
+        if not _is_integer(v) or v < 1:
             raise ConfigError(f"reps.{key} must be a positive integer")
 
     def positive_type(name, default, minimum=1):
         v = doc.get(name, default)
         if v is None:
             return None
-        if not isinstance(v, int) or v < minimum:
+        if not _is_integer(v) or v < minimum:
             raise ConfigError(f"{name} must be an integer >= {minimum}")
         return v
 
@@ -145,7 +149,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     return ExperimentConfig(
         params=params,
         rank1=rank1,
-        seed=int(doc["seed"]),
+        seed=doc["seed"],
         k1=k1 - 1,
         k2=k2 - 1,
         graph_reps=reps.get("graph", 1000),
@@ -155,7 +159,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         depth=positive_type("depth", 6),
         workers=positive_type("workers", 1),
         output_dir=str(doc.get("output_dir", "out")),
-        c25=float(doc.get("c25", 1.0)),
         scheme=_scheme_from_block(doc["scheme"]) if "scheme" in doc else None,
         population_cap=positive_type("population_cap", 100_000_000),
         raw=doc,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import ModelParams, validate_params
+from .model import ModelParams
 from .seeding import derive_seed
 
 INF = math.inf
@@ -92,7 +92,6 @@ class BipartiteGraph:
     object o's vertices likewise, each in ascending order.
     """
 
-    params: ModelParams
     vertex_ptr: np.ndarray = field(repr=False)
     vertex_idx: np.ndarray = field(repr=False)
     object_ptr: np.ndarray = field(repr=False)
@@ -101,10 +100,11 @@ class BipartiteGraph:
     object_offsets: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_edges(cls, params: ModelParams, v, o) -> "BipartiteGraph":
-        """Graph with edges (v[i], o[i]) in global ids; duplicates are
-        the caller's responsibility."""
-        n_v, n_o = params.n_total, params.m_total
+    def from_edges(cls, n, m, v, o) -> "BipartiteGraph":
+        """Graph on the per-type vertex counts n and object counts m with
+        edges (v[i], o[i]) in global ids; duplicates are the caller's
+        responsibility."""
+        n_v, n_o = int(np.sum(n)), int(np.sum(m))
         v = np.asarray(v, dtype=np.int64)
         o = np.asarray(o, dtype=np.int64)
         if v.shape != o.shape:
@@ -116,13 +116,12 @@ class BipartiteGraph:
         vertex_ptr, vertex_idx = _csr(v, o, n_v, n_o)
         object_ptr, object_idx = _csr(o, v, n_o, n_v)
         return cls(
-            params=params,
             vertex_ptr=vertex_ptr,
             vertex_idx=vertex_idx,
             object_ptr=object_ptr,
             object_idx=object_idx,
-            vertex_offsets=np.concatenate([[0], np.cumsum(params.n)]),
-            object_offsets=np.concatenate([[0], np.cumsum(params.m)]),
+            vertex_offsets=np.concatenate([[0], np.cumsum(n)]),
+            object_offsets=np.concatenate([[0], np.cumsum(m)]),
         )
 
     @property
@@ -204,7 +203,6 @@ def sample_bipartite(p: ModelParams, seed: int) -> BipartiteGraph:
     Blocks with p_kj > 1/2 draw their non-edges the same way with
     probability 1 - p_kj, so the subset draws never fill a row.
     """
-    validate_params(p)
     rng = np.random.default_rng(seed)
     v_off = np.concatenate([[0], np.cumsum(p.n)])
     o_off = np.concatenate([[0], np.cumsum(p.m)])
@@ -229,7 +227,8 @@ def sample_bipartite(p: ModelParams, seed: int) -> BipartiteGraph:
             obs.append(objs + o_off[j])
     empty = np.empty(0, dtype=np.int64)
     return BipartiteGraph.from_edges(
-        p,
+        p.n,
+        p.m,
         np.concatenate(vs) if vs else empty,
         np.concatenate(obs) if obs else empty,
     )
@@ -308,7 +307,6 @@ def empirical_distance_law(
     distinct vertices; replicate r uses the substream (seed, "graph", r),
     so the histogram is identical for any worker count.
     """
-    validate_params(p)
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     for k in (k1, k2):

@@ -18,11 +18,20 @@ import numpy as np
 from .errors import ValidationError
 
 
+def _readonly(values, dtype) -> np.ndarray:
+    """A read-only copy of `values`; the caller's array stays writable."""
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Vertex counts, object counts, and the edge-probability matrix.
 
-    Rows of P index vertex types, columns index object types.
+    Rows of P index vertex types, columns index object types.  Checked
+    once, on construction: n_k >= 2, m_j >= 2, p_kj in [0,1]; the
+    arrays are read-only copies, so a model stays valid.
     """
 
     n: np.ndarray
@@ -30,9 +39,32 @@ class ModelParams:
     P: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n", np.asarray(self.n, dtype=np.int64))
-        object.__setattr__(self, "m", np.asarray(self.m, dtype=np.int64))
-        object.__setattr__(self, "P", np.asarray(self.P, dtype=np.float64))
+        object.__setattr__(self, "n", _readonly(self.n, np.int64))
+        object.__setattr__(self, "m", _readonly(self.m, np.int64))
+        object.__setattr__(self, "P", _readonly(self.P, np.float64))
+        if self.K < 1 or self.J < 1:
+            raise ValidationError("need at least one vertex type and one object type")
+        if self.P.shape != (self.K, self.J):
+            raise ValidationError(
+                f"P has shape {self.P.shape}, expected ({self.K}, {self.J})"
+            )
+        for k, v in enumerate(self.n):
+            if v < 2:
+                raise ValidationError(f"n_{k + 1} = {v} < 2")
+        for j, v in enumerate(self.m):
+            if v < 2:
+                raise ValidationError(f"m_{j + 1} = {v} < 2")
+        bad = np.argwhere(~((self.P >= 0.0) & (self.P <= 1.0)))  # NaN too
+        if bad.size:
+            k, j = bad[0]
+            raise ValidationError(
+                f"p_{k + 1},{j + 1} = {self.P[k, j]} out of [0,1]"
+            )
+
+    def __reduce__(self):
+        # unpickling (a task sent to a worker process) goes through the
+        # constructor, so the copy is read-only too
+        return ModelParams, (self.n, self.m, self.P)
 
     @property
     def K(self) -> int:
@@ -53,14 +85,23 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Rank1Params:
-    """Product-form edge probabilities p_kj = alpha_k * beta_j."""
+    """Product-form edge probabilities p_kj = alpha_k * beta_j, checked
+    on construction to be positive and at most 1."""
 
     alpha: np.ndarray
     beta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=np.float64))
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=np.float64))
+        object.__setattr__(self, "alpha", _readonly(self.alpha, np.float64))
+        object.__setattr__(self, "beta", _readonly(self.beta, np.float64))
+        if (self.alpha <= 0).any() or (self.beta <= 0).any():
+            raise ValidationError("alpha and beta must be positive")
+        P = np.outer(self.alpha, self.beta)
+        if (P > 1.0).any():
+            k, j = np.argwhere(P > 1.0)[0]
+            raise ValidationError(
+                f"invalid probability alpha_{k + 1} * beta_{j + 1} = {P[k, j]} > 1"
+            )
 
 
 @dataclass(frozen=True)
@@ -101,25 +142,9 @@ class SpectralData:
     m_total: int
     params: ModelParams = field(repr=False)
 
-
-def validate_params(p: ModelParams) -> None:
-    """Raise ValidationError on the first violated structural constraint."""
-    if p.K < 1 or p.J < 1:
-        raise ValidationError("need at least one vertex type and one object type")
-    if p.P.shape != (p.K, p.J):
-        raise ValidationError(f"P has shape {p.P.shape}, expected ({p.K}, {p.J})")
-    for k, v in enumerate(p.n):
-        if v < 2:
-            raise ValidationError(f"n_{k + 1} = {v} < 2")
-    for j, v in enumerate(p.m):
-        if v < 2:
-            raise ValidationError(f"m_{j + 1} = {v} < 2")
-    bad = np.argwhere((p.P < 0.0) | (p.P > 1.0))
-    if bad.size:
-        k, j = bad[0]
-        raise ValidationError(
-            f"p_{k + 1},{j + 1} = {p.P[k, j]} out of [0,1]"
-        )
+    def __post_init__(self):
+        if self.tau <= 1.0:
+            raise ValidationError("tau <= 1: supercritical regime required")
 
 
 def mean_matrices(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -205,12 +230,9 @@ def second_modulus(
 
 
 def derived_scalars(p: ModelParams) -> SpectralData:
-    """Compute the full spectral summary of a validated model."""
-    validate_params(p)
+    """Compute the full spectral summary of a model."""
     M_X, M_Y = mean_matrices(p)
     tau, mu, nu = perron(M_X)
-    if tau <= 1.0:
-        raise ValidationError("tau <= 1: supercritical regime required")
     lambda2_mod, gamma, theta = second_modulus(M_X, tau, nu, mu)
 
     n = p.n_total
@@ -311,20 +333,9 @@ def rank1_build(
     With C = sum_j m_j beta_j^2: tau = C * alpha' N_X alpha,
     mu = N_X alpha / 1' N_X alpha, nu = C (1' N_X alpha / tau) alpha.
     """
-    n = np.asarray(n, dtype=np.int64)
-    m = np.asarray(m, dtype=np.int64)
-    P = np.outer(r.alpha, r.beta)
-    if (r.alpha <= 0).any() or (r.beta <= 0).any():
-        raise ValidationError("alpha and beta must be positive")
-    if (P > 1.0).any():
-        k, j = np.argwhere(P > 1.0)[0]
-        raise ValidationError(
-            f"invalid probability alpha_{k + 1} * beta_{j + 1} = {P[k, j]} > 1"
-        )
-    params = ModelParams(n=n, m=m, P=P)
-    validate_params(params)
-    C = float(np.sum(m * r.beta**2))
-    nxa = n * r.alpha
+    params = ModelParams(n=n, m=m, P=np.outer(r.alpha, r.beta))
+    C = float(np.sum(params.m * r.beta**2))
+    nxa = params.n * r.alpha
     tau = C * float(r.alpha @ nxa)
     total = float(nxa.sum())
     mu = nxa / total
@@ -339,7 +350,6 @@ def degree_bound(p: ModelParams) -> tuple[float, float, float]:
     the bound is sum_k n_k D_k^2 / m and is attained when p_kj does not
     depend on j.
     """
-    validate_params(p)
     M_X, _ = mean_matrices(p)
     tau, _, _ = perron(M_X)
     D = p.P @ p.m

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,13 +28,18 @@ from .bpsim import (
 from .coincidence import SamplingScheme, poisson_check
 from .config import ExperimentConfig
 from .errors import ConfigError, ValidationError
-from .graphgen import empirical_distance_law
+from .graphgen import DistanceLaw, empirical_distance_law
 from .model import derived_scalars, mean_matrices, perron, rank1_build
 from .seeding import derive_seed
 
 def parallel_map(fn, args_list, workers: int):
-    """Map preserving argument order; worker count never affects results."""
-    if workers <= 1 or len(args_list) <= 1:
+    """Map preserving argument order; worker count never affects results.
+
+    Starts at most one process per task and per CPU: under the fork
+    start method the pool launches all of its processes at once.
+    """
+    workers = min(workers, len(args_list), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(a) for a in args_list]
     chunk = max(1, len(args_list) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -168,12 +174,15 @@ def _run_spectral(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
     )
 
 
-def _run_graph_dist(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
+def _run_graph_dist(
+    cfg: ExperimentConfig, w: RunWriter, workers: int
+) -> DistanceLaw:
     seed = w.stage_seed("graph-dist")
     law = empirical_distance_law(
         cfg.params, cfg.k1, cfg.k2, cfg.graph_reps, seed, workers=workers
     )
     w.write_csv("distances.csv", ["distance", "count"], law.to_rows())
+    return law
 
 
 def _write_survival(cfg: ExperimentConfig, w: RunWriter) -> np.ndarray:
@@ -312,11 +321,7 @@ def _run_compare(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
         spec = derived_scalars(cfg.params)
     except ValidationError:
         spec = None
-    seed = w.stage_seed("graph-dist")
-    law = empirical_distance_law(
-        cfg.params, cfg.k1, cfg.k2, cfg.graph_reps, seed, workers=workers
-    )
-    w.write_csv("distances.csv", ["distance", "count"], law.to_rows())
+    law = _run_graph_dist(cfg, w, workers)
     if spec is None:
         # not supercritical: the branching approximation degenerates to
         # pure defect mass, so only the infinite-distance row is checkable
@@ -331,7 +336,7 @@ def _run_compare(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
         return
     pools = _pools(cfg, w, spec)
     _write_approx_law(w, spec, pools)
-    table = compare(law, spec, pools, c25=cfg.c25)
+    table = compare(law, spec, pools)
     w.write_csv(
         "compare.csv",
         _COMPARE_HEADER,

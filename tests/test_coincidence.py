@@ -210,6 +210,10 @@ class TestPoissonCheck:
 
 
 class TestValidation:
+    def test_rejected_on_construction(self):
+        with pytest.raises(ValidationError, match="w_1 = 1 < 2"):
+            SamplingScheme(w=[1], draws_a=[[1]], draws_b=[[1]])
+
     def test_small_universe_rejected(self):
         with pytest.raises(ValidationError, match="w_1"):
             lambda_value(SamplingScheme(w=[1], draws_a=[[1]], draws_b=[[1]]))

@@ -20,9 +20,7 @@ from igdist.seeding import derive_seed
 def graph_from_edges(n_vertices, n_objects, edges):
     """Explicit single-type bipartite graph from an edge list."""
     v, o = zip(*edges) if edges else ((), ())
-    return BipartiteGraph.from_edges(
-        ModelParams(n=[n_vertices], m=[n_objects], P=[[0.5]]), v, o
-    )
+    return BipartiteGraph.from_edges([n_vertices], [n_objects], v, o)
 
 
 class TestSampling:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from igdist import derive_seed, load_config
+from igdist import derive_seed, load_config, runner
 from igdist.cli import main as cli_main
 from igdist.config import config_from_dict
 from igdist.errors import ConfigError, PopulationCapError
@@ -122,6 +122,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match="reps.graph"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("seed", "abc", "seed"),
+            ("seed", [1], "seed"),
+            ("seed", 1.7, "seed"),
+            ("seed", True, "seed"),
+            ("k1", True, "k1"),
+            ("k2", 1.0, "k2"),
+            ("reps", {"graph": True}, "reps.graph"),
+            ("reps", {"pool": 60.0}, "reps.pool"),
+            ("horizon", "6", "horizon"),
+            ("depth", [3], "depth"),
+            ("workers", True, "workers"),
+            ("population_cap", 1e6, "population_cap"),
+        ],
+    )
+    def test_integer_fields_must_be_json_integers(self, tmp_path, key, value, match):
+        path = write_config(tmp_path, dict(MINIMAL, **{key: value}))
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+        assert cli_main(["spectral", "--config", str(path)]) == 2
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
@@ -150,6 +173,35 @@ class TestParallelMap:
         args = list(range(40))
         assert parallel_map(_square, args, 1) == [a * a for a in args]
         assert parallel_map(_square, args, 4) == [a * a for a in args]
+
+    def test_processes_capped_by_tasks_and_cpus(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            """Records max_workers and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize=1):
+                return map(fn, args)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
+        assert parallel_map(_square, [1, 2, 3], 5000) == [1, 4, 9]
+        assert parallel_map(_square, list(range(10)), 5000) == [
+            a * a for a in range(10)
+        ]
+        assert started == [3, 4]
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: None)
+        assert parallel_map(_square, [1, 2, 3], 5000) == [1, 4, 9]
+        assert started == [3, 4]
 
 
 def _square(x):

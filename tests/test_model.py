@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from igdist import (
     perron,
     rank1_build,
     second_modulus,
-    validate_params,
 )
 from igdist.errors import ValidationError
 
@@ -35,25 +36,57 @@ def random_supercritical(rng, target_tau=None):
 
 class TestValidate:
     def test_scalar4_ok(self, scalar4):
-        validate_params(scalar4)
+        ModelParams(n=scalar4.n, m=scalar4.m, P=scalar4.P)
 
     def test_m_below_two(self):
         with pytest.raises(ValidationError, match=r"m_1 = 1 < 2"):
-            validate_params(ModelParams(n=[5], m=[1], P=[[0.1]]))
+            ModelParams(n=[5], m=[1], P=[[0.1]])
 
     def test_n_below_two(self):
         with pytest.raises(ValidationError, match=r"n_2 = 1 < 2"):
-            validate_params(ModelParams(n=[5, 1], m=[3], P=[[0.1], [0.1]]))
+            ModelParams(n=[5, 1], m=[3], P=[[0.1], [0.1]])
 
     def test_p_out_of_range(self):
         with pytest.raises(ValidationError, match=r"out of \[0,1\]"):
-            validate_params(ModelParams(n=[5], m=[5], P=[[1.5]]))
+            ModelParams(n=[5], m=[5], P=[[1.5]])
         with pytest.raises(ValidationError, match=r"out of \[0,1\]"):
-            validate_params(ModelParams(n=[5], m=[5], P=[[-0.25]]))
+            ModelParams(n=[5], m=[5], P=[[-0.25]])
+        with pytest.raises(ValidationError, match=r"nan out of \[0,1\]"):
+            ModelParams(n=[5], m=[5], P=[[math.nan]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            validate_params(ModelParams(n=[5, 5], m=[5], P=[[0.1]]))
+            ModelParams(n=[5, 5], m=[5], P=[[0.1]])
+
+    def test_arrays_are_read_only(self):
+        p = ModelParams(n=[5], m=[5], P=[[0.1]])
+        copy = pickle.loads(pickle.dumps(p))  # as sent to a worker process
+        for a in (p.n, p.m, p.P, copy.n, copy.m, copy.P):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
+    def test_replace_checks_again(self):
+        p = ModelParams(n=[5], m=[5], P=[[0.1]])
+        with pytest.raises(ValidationError, match=r"out of \[0,1\]"):
+            replace(p, P=[[1.5]])
+
+    def test_caller_arrays_stay_writable(self):
+        n, P = np.array([5]), np.array([[0.1]])
+        p = ModelParams(n=n, m=[5], P=P)
+        n[0], P[0, 0] = 1, 1.5
+        assert n.flags.writeable and P.flags.writeable
+        assert p.n[0] == 5 and p.P[0, 0] == 0.1
+
+    @pytest.mark.parametrize(
+        "alpha, beta, match",
+        [
+            ([0.5, 0.0], [1.0], "positive"),
+            ([0.9, 0.9], [2.0], "invalid probability"),
+        ],
+    )
+    def test_rank1_checked_on_construction(self, alpha, beta, match):
+        with pytest.raises(ValidationError, match=match):
+            Rank1Params(alpha=alpha, beta=beta)
 
 
 class TestMeanMatrices:
@@ -229,6 +262,10 @@ class TestDerivedScalars:
         with pytest.raises(ValidationError, match="tau <= 1"):
             derived_scalars(ModelParams(n=[100], m=[100], P=[[0.001]]))
 
+    def test_replace_rejects_subcritical_tau(self, scalar4_spec):
+        with pytest.raises(ValidationError, match="tau <= 1"):
+            replace(scalar4_spec, tau=0.5)
+
     def test_two_weakly_linked_communities(self):
         # two types with equal growth that share few objects: the two
         # eigenvalues of M_X differ by about 4e-5 relative
@@ -257,8 +294,6 @@ class TestIdentityReport:
             assert max(rep.values()) < 1e-10, rep
 
     def test_corrupted_mu_tilde_flagged(self, two_by_two_spec):
-        from dataclasses import replace
-
         bad = two_by_two_spec.mu_tilde.copy()
         bad[0] += 1e-3
         rep = identity_report(replace(two_by_two_spec, mu_tilde=bad))
