@@ -146,16 +146,15 @@ def _grow(rng, p: ModelParams, x: list, X: np.ndarray, Y: np.ndarray, cap: int):
 def _start_vector(p: ModelParams, start) -> np.ndarray:
     """Either a single 0-based type id or a length-K count vector."""
     if isinstance(start, (int, np.integer)):
+        # e_k: nonempty, nonnegative and within n_k >= 2 by construction
         if not 0 <= int(start) < p.K:
             raise ValidationError(f"invalid start type {start}")
         x0 = np.zeros(p.K, dtype=np.int64)
         x0[int(start)] = 1
-    else:
-        x0 = np.asarray(start, dtype=np.int64)
-        if x0.shape != (p.K,):
-            raise ValidationError(
-                "start must be a type id or a length-K count vector"
-            )
+        return x0
+    x0 = np.asarray(start, dtype=np.int64)
+    if x0.shape != (p.K,):
+        raise ValidationError("start must be a type id or a length-K count vector")
     if x0.sum() == 0:
         raise ValidationError("start must be nonempty")
     if (x0 < 0).any():

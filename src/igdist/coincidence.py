@@ -25,6 +25,14 @@ EXACT_COST_LIMIT = 10_000_000
 _CHUNK = 1 << 18
 
 
+def _size(x) -> int:
+    """x as a Python int.  Bools and floats, even integral ones, are
+    rejected rather than truncated."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValidationError(f"scheme sizes must be integers, got {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class SamplingScheme:
     """Per-class universes, draw sizes for both players, exclusions.
@@ -32,7 +40,8 @@ class SamplingScheme:
     w[l] is the universe size of class l, draws_a[l] / draws_b[l] the
     subset sizes each player draws from it, excluded[l] the size of the
     set whose collisions are not counted.  Checked once, on
-    construction: w_l >= 2, every draw and w*_l in [0, w_l].
+    construction: every size is an integer, w_l >= 2, every draw and
+    w*_l in [0, w_l].
     """
 
     w: tuple
@@ -41,16 +50,16 @@ class SamplingScheme:
     excluded: tuple
 
     def __init__(self, w, draws_a, draws_b, excluded=None):
-        object.__setattr__(self, "w", tuple(int(x) for x in w))
+        object.__setattr__(self, "w", tuple(_size(x) for x in w))
         object.__setattr__(
-            self, "draws_a", tuple(tuple(int(z) for z in d) for d in draws_a)
+            self, "draws_a", tuple(tuple(_size(z) for z in d) for d in draws_a)
         )
         object.__setattr__(
-            self, "draws_b", tuple(tuple(int(z) for z in d) for d in draws_b)
+            self, "draws_b", tuple(tuple(_size(z) for z in d) for d in draws_b)
         )
         if excluded is None:
             excluded = [0] * len(self.w)
-        object.__setattr__(self, "excluded", tuple(int(x) for x in excluded))
+        object.__setattr__(self, "excluded", tuple(_size(x) for x in excluded))
         lengths = {len(self.draws_a), len(self.draws_b), len(self.excluded)}
         if lengths != {self.L}:
             raise ValidationError("per-class lists must share one length")

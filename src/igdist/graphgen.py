@@ -2,7 +2,8 @@
 
 The intersection graph is never materialized: two vertices are adjacent
 iff they share an object, so intersection distance is half the bipartite
-distance and one alternating BFS per query suffices.
+distance.  A query runs two searches, from both vertices, that meet in
+the middle.
 """
 
 from __future__ import annotations
@@ -243,11 +244,25 @@ def _gather(ptr: np.ndarray, idx: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return idx[pos]
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of x.  Plain `np.unique` imports `numpy.ma`
+    on first use (13-18 ms), which every fresh worker would pay."""
+    x = np.sort(x)
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def pair_distance(g: BipartiteGraph, a: int, b: int):
     """Intersection-graph distance between vertices a and b.
 
-    Half the bipartite distance, found by alternating frontier BFS; 0
-    iff a == b, inf iff the vertices are in different components.
+    Two searches meet in the middle: each step grows the ball with the
+    smaller vertex frontier by one level, vertex -> object -> vertex.
+    While the balls of radii t_a and t_b are disjoint, d(a, b) > t_a + t_b,
+    so the first step that reaches the other ball gives the distance
+    exactly; a side that gains no vertex has exhausted its component.
+    0 iff a == b, inf iff the vertices are in different components.
     """
     n_v, n_o = g.n_vertices, g.n_objects
     for v in (a, b):
@@ -255,30 +270,36 @@ def pair_distance(g: BipartiteGraph, a: int, b: int):
             raise ValidationError(f"invalid vertex id {v}")
     if a == b:
         return 0
-    seen_v = np.zeros(n_v, dtype=bool)
+    # ball[v] is 1 or 2 when v is in a's or b's ball, else 0.  Disjoint
+    # vertex balls have disjoint object balls, so one seen flag serves
+    # the objects of both.
+    ball = np.zeros(n_v, dtype=np.int8)
     seen_o = np.zeros(n_o, dtype=bool)
-    seen_v[a] = True
-    frontier = np.array([a], dtype=np.int64)
-    dist = 0
-    while frontier.size:
-        dist += 1
-        objs = _gather(g.vertex_ptr, g.vertex_idx, frontier)
-        objs = np.unique(objs[~seen_o[objs]])
+    ball[a], ball[b] = 1, 2
+    frontier = [np.array([a], dtype=np.int64), np.array([b], dtype=np.int64)]
+    radius = [0, 0]
+    while True:
+        s = 0 if frontier[0].size <= frontier[1].size else 1
+        objs = _gather(g.vertex_ptr, g.vertex_idx, frontier[s])
+        objs = _distinct(objs[~seen_o[objs]])
         seen_o[objs] = True
         verts = _gather(g.object_ptr, g.object_idx, objs)
-        verts = np.unique(verts[~seen_v[verts]])
-        seen_v[verts] = True
-        if seen_v[b]:
-            return dist
-        frontier = verts
-    return INF
+        owner = ball[verts]
+        if (owner == 2 - s).any():  # the other side's mark
+            return radius[0] + radius[1] + 1
+        verts = _distinct(verts[owner == 0])
+        if not verts.size:
+            return INF
+        ball[verts] = s + 1
+        radius[s] += 1
+        frontier[s] = verts
 
 
 def sample_pair_distance(
     p: ModelParams, k1: int, k2: int, seed: int
 ):
     """One replicate: fresh graph, uniform ordered pair of distinct
-    typed vertices, one BFS."""
+    typed vertices, one distance search."""
     g = sample_bipartite(p, seed)
     rng = np.random.default_rng(derive_seed(seed, "pair"))
     off1 = int(g.vertex_offsets[k1])

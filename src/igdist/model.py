@@ -25,13 +25,23 @@ def _readonly(values, dtype) -> np.ndarray:
     return a
 
 
+def _counts(values, name: str) -> np.ndarray:
+    """A read-only int64 copy of integer counts.  Bools and floats, even
+    integral ones, are rejected rather than truncated."""
+    a = np.asarray(values)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValidationError(f"{name} must be integers, got {a.tolist()}")
+    return _readonly(a, np.int64)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Vertex counts, object counts, and the edge-probability matrix.
 
     Rows of P index vertex types, columns index object types.  Checked
-    once, on construction: n_k >= 2, m_j >= 2, p_kj in [0,1]; the
-    arrays are read-only copies, so a model stays valid.
+    once, on construction: n and m hold integers, n_k >= 2, m_j >= 2,
+    p_kj in [0,1]; the arrays are read-only copies, so a model stays
+    valid.
     """
 
     n: np.ndarray
@@ -39,8 +49,8 @@ class ModelParams:
     P: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _readonly(self.n, np.int64))
-        object.__setattr__(self, "m", _readonly(self.m, np.int64))
+        object.__setattr__(self, "n", _counts(self.n, "n"))
+        object.__setattr__(self, "m", _counts(self.m, "m"))
         object.__setattr__(self, "P", _readonly(self.P, np.float64))
         if self.K < 1 or self.J < 1:
             raise ValidationError("need at least one vertex type and one object type")

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from igdist import (
@@ -227,3 +228,24 @@ class TestValidation:
             lambda_value(
                 SamplingScheme(w=[3], draws_a=[[1]], draws_b=[[1]], excluded=[4])
             )
+
+    @pytest.mark.parametrize(
+        "w, draws_a, draws_b, excluded",
+        [
+            ([10.9], [[2]], [[3]], None),
+            ([10], [[2.7]], [[3]], None),
+            ([10], [[2]], [[True]], None),
+            ([10], [[2]], [[3]], [1.0]),
+            ([10.0], [[2]], [[3]], None),
+        ],
+        ids=["fraction_w", "fraction_draw", "bool_draw", "float_wstar", "integral_w"],
+    )
+    def test_non_integer_sizes_rejected(self, w, draws_a, draws_b, excluded):
+        with pytest.raises(ValidationError, match="must be integers"):
+            SamplingScheme(w=w, draws_a=draws_a, draws_b=draws_b, excluded=excluded)
+
+    def test_numpy_integer_sizes_accepted(self):
+        s = SamplingScheme(
+            w=np.array([10]), draws_a=[np.array([2, 1])], draws_b=[[np.int32(3)]]
+        )
+        assert s.w == (10,) and s.draws_a == ((2, 1),) and s.draws_b == ((3,),)

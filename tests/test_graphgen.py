@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import igdist
 from igdist import (
     DistanceLaw,
     ModelParams,
@@ -13,7 +18,7 @@ from igdist import (
     survival_prob,
 )
 from igdist.errors import ValidationError
-from igdist.graphgen import BipartiteGraph, sample_family_subsets
+from igdist.graphgen import BipartiteGraph, _gather, sample_family_subsets
 from igdist.seeding import derive_seed
 
 
@@ -234,6 +239,103 @@ class TestPairDistance:
                 for b in range(3):
                     for c in range(3):
                         assert D[a, b] <= D[a, c] + D[c, b]
+
+
+def _one_sided_distance(g: BipartiteGraph, a: int, b: int):
+    """Reference search from a alone: whole vertex -> object -> vertex
+    frontiers until b is reached or a's component is exhausted."""
+    n_v, n_o = g.n_vertices, g.n_objects
+    for v in (a, b):
+        if not 0 <= v < n_v:
+            raise ValidationError(f"invalid vertex id {v}")
+    if a == b:
+        return 0
+    seen_v = np.zeros(n_v, dtype=bool)
+    seen_o = np.zeros(n_o, dtype=bool)
+    seen_v[a] = True
+    frontier = np.array([a], dtype=np.int64)
+    dist = 0
+    while frontier.size:
+        dist += 1
+        objs = _gather(g.vertex_ptr, g.vertex_idx, frontier)
+        objs = np.unique(objs[~seen_o[objs]])
+        seen_o[objs] = True
+        verts = _gather(g.object_ptr, g.object_idx, objs)
+        verts = np.unique(verts[~seen_v[verts]])
+        seen_v[verts] = True
+        if seen_v[b]:
+            return dist
+        frontier = verts
+    return math.inf
+
+
+@pytest.fixture(scope="module")
+def dense_block():
+    return TestSamplerAgainstDenseOracle.params  # a block with p > 1/2
+
+
+@pytest.fixture(scope="module")
+def zero_p():
+    return ModelParams(n=[6, 5], m=[4], P=[[0.0], [0.0]])
+
+
+class TestMeetInTheMiddle:
+    """pair_distance against the one-sided search on fixed graphs and
+    pairs, both orders of each pair."""
+
+    @pytest.mark.parametrize(
+        "model, k1, k2",
+        [
+            ("scalar2", 0, 0),
+            ("two_by_two", 0, 1),
+            ("two_by_two", 1, 1),
+            ("dense_block", 0, 1),
+            ("zero_p", 0, 1),
+        ],
+    )
+    def test_equals_one_sided_search(self, request, model, k1, k2):
+        p = request.getfixturevalue(model)
+        finite = infinite = 0
+        for r in range(50):
+            g = sample_bipartite(p, seed=derive_seed(13, model, r))
+            rng = np.random.default_rng(derive_seed(14, model, r))
+            off1, off2 = int(g.vertex_offsets[k1]), int(g.vertex_offsets[k2])
+            for _ in range(4):
+                a = off1 + int(rng.integers(p.n[k1]))
+                b = off2 + int(rng.integers(p.n[k2]))
+                d = _one_sided_distance(g, a, b)
+                assert pair_distance(g, a, b) == d, (model, r, a, b)
+                assert pair_distance(g, b, a) == d, (model, r, b, a)
+                infinite += d == math.inf
+                finite += d != math.inf
+        # pairs in different components are the case the one-sided
+        # search walks in full
+        assert infinite > 0
+        assert finite > 0 or model == "zero_p"
+
+    def test_search_imports_no_numpy_ma(self):
+        # plain np.unique imports numpy.ma on first use, 13-18 ms that
+        # every fresh worker process would pay; a subprocess because the
+        # test session may have imported numpy.ma already
+        code = (
+            "import math, sys\n"
+            "from igdist import ModelParams\n"
+            "from igdist.graphgen import sample_pair_distance\n"
+            "p = ModelParams(n=[10**4], m=[10**4], P=[[math.sqrt(2.0) * 1e-4]])\n"
+            "sample_pair_distance(p, 0, 0, 1)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(igdist.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestEmpiricalLaw:

@@ -78,6 +78,28 @@ class TestValidate:
         assert p.n[0] == 5 and p.P[0, 0] == 0.1
 
     @pytest.mark.parametrize(
+        "n, m",
+        [
+            ([1000.9], [1000]),
+            ([1000], [1000.5]),
+            ([1000.0], [1000]),
+            ([5], [True]),
+            (["1000"], [1000]),
+        ],
+        ids=["fraction_n", "fraction_m", "integral_float", "bool", "string"],
+    )
+    def test_non_integer_counts_rejected(self, n, m):
+        # truncating 1000.9 to 1000 would run a model the caller never gave
+        with pytest.raises(ValidationError, match="must be integers"):
+            ModelParams(n=n, m=m, P=np.full((len(n), len(m)), 0.1))
+
+    def test_numpy_integer_counts_accepted(self):
+        p = ModelParams(
+            n=np.array([5], dtype=np.int32), m=np.array([5], dtype=np.uint16), P=[[0.1]]
+        )
+        assert p.n.dtype == p.m.dtype == np.int64
+
+    @pytest.mark.parametrize(
         "alpha, beta, match",
         [
             ([0.5, 0.0], [1.0], "positive"),
