@@ -481,6 +481,7 @@ def ghost_scaling(
     k1: int = 0,
     k2: int = 0,
     workers: int = 1,
+    population_cap: int = DEFAULT_POP_CAP,
 ) -> list[dict]:
     """Monte Carlo ghost means per generation with their scaling ratios.
 
@@ -491,10 +492,12 @@ def ghost_scaling(
     """
     from .runner import parallel_map  # runner imports this module
 
-    tasks = [
-        (p, k1, k2, depth, derive_seed(seed, "ghost", r)) for r in range(reps)
-    ]
-    tallies = parallel_map(_ghost_task, tasks, workers)
+    def ghosts(s):
+        f = labeled_growth(p, k1, k2, depth, s, population_cap=population_cap)
+        return f.ghost_x, f.ghost_y
+
+    seeds = [derive_seed(seed, "ghost", r) for r in range(reps)]
+    tallies = parallel_map(ghosts, seeds, workers)
     gx = np.mean([t[0] for t in tallies], axis=0)
     gy = np.mean([t[1] for t in tallies], axis=0)
     e4 = spec.e_mn**4
@@ -514,9 +517,3 @@ def ghost_scaling(
             }
         )
     return rows
-
-
-def _ghost_task(args):
-    p, k1, k2, depth, s = args
-    f = labeled_growth(p, k1, k2, depth, s)
-    return f.ghost_x, f.ghost_y

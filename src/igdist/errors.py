@@ -32,6 +32,10 @@ class PopulationCapError(RuntimeError):
             f"population cap exceeded at generation {generation}: {count} > {cap}"
         )
 
+    def __reduce__(self):
+        # the default reduction re-calls __init__ with the message alone
+        return type(self), (self.generation, self.count, self.cap)
+
 
 class SimulationError(RuntimeError):
     """A Monte Carlo routine could not produce the requested output."""

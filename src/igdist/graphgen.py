@@ -8,6 +8,7 @@ the middle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -335,10 +336,13 @@ def empirical_distance_law(
             raise ValidationError(f"invalid vertex type {k}")
     from .runner import parallel_map  # runner imports this module
 
-    tasks = [(p, k1, k2, derive_seed(seed, "graph", r)) for r in range(reps)]
-    return DistanceLaw.from_samples(parallel_map(_distance_task, tasks, workers))
+    replicate = functools.partial(sample_pair_distance, p, k1, k2)
+    return DistanceLaw.from_samples(
+        parallel_map(replicate, distance_seeds(seed, reps), workers)
+    )
 
 
-def _distance_task(args):
-    p, k1, k2, s = args
-    return sample_pair_distance(p, k1, k2, s)
+def distance_seeds(seed: int, reps: int) -> list[int]:
+    """The replicate seeds of `empirical_distance_law`: replicate r uses
+    the substream (seed, "graph", r)."""
+    return [derive_seed(seed, "graph", r) for r in range(reps)]

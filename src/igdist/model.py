@@ -72,8 +72,8 @@ class ModelParams:
             )
 
     def __reduce__(self):
-        # unpickling (a task sent to a worker process) goes through the
-        # constructor, so the copy is read-only too
+        # unpickling goes through the constructor, so a copy is read-only
+        # too
         return ModelParams, (self.n, self.m, self.P)
 
     @property

@@ -10,11 +10,13 @@ count.  Floats are serialized with repr (shortest round-trip form).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,22 +30,97 @@ from .bpsim import (
 from .coincidence import SamplingScheme, poisson_check
 from .config import ExperimentConfig
 from .errors import ConfigError, ValidationError
-from .graphgen import DistanceLaw, empirical_distance_law
+from .graphgen import (
+    DistanceLaw, distance_seeds, empirical_distance_law, sample_pair_distance,
+)
 from .model import derived_scalars, mean_matrices, perron, rank1_build
 from .seeding import derive_seed
 
 def parallel_map(fn, args_list, workers: int):
     """Map preserving argument order; worker count never affects results.
 
-    Starts at most one process per task and per CPU: under the fork
-    start method the pool launches all of its processes at once.
+    The caller is one of w = min(workers, tasks, CPUs) workers.  Share i
+    holds tasks i, i + w, i + 2w, ...: the caller works share 0, and
+    w - 1 children forked from it (POSIX only) work the others, each
+    sending back one pickled list.  Tasks reach the children through
+    fork, so only results and exceptions are pickled.  If any share
+    fails, the caller kills the children still working and reaps every
+    child before it raises the failure.
     """
-    workers = min(workers, len(args_list), os.cpu_count() or 1)
-    if workers <= 1:
+    w = min(workers, len(args_list), os.cpu_count() or 1)
+    if w <= 1:
         return [fn(a) for a in args_list]
-    chunk = max(1, len(args_list) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list, chunksize=chunk))
+    children = {}  # pid -> read end of its pipe, until it is reaped
+    try:
+        for i in range(1, w):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work_share(fn, args_list[i::w], wr)  # never returns
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(wr)
+            children[pid] = r
+        shares = [[fn(a) for a in args_list[::w]]]
+        for pid in list(children):
+            shares.append(_receive(pid, children.pop(pid)))
+    finally:
+        for pid, r in children.items():
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    out = [None] * len(args_list)
+    for i, share in enumerate(shares):
+        out[i::w] = share
+    return out
+
+
+def _work_share(fn, share, wr) -> None:
+    """In a forked child: work one share and write (ok, results or the
+    exception) to the pipe.  Leaves only through os._exit, so the child
+    never unwinds into the caller's frames, whose handlers would act on
+    the parent's state (RunWriter.discard deletes the parent's files)."""
+    status = 1
+    try:
+        try:
+            payload = (True, [fn(a) for a in share])
+        except BaseException as e:
+            payload = (False, e)
+        try:
+            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        except Exception as e:
+            error = RuntimeError(f"a worker's results could not be pickled: {e!r}")
+            data = pickle.dumps((False, error))
+        with open(wr, "wb") as f:
+            f.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(pid: int, r: int) -> list:
+    """The results of a child's share, read to end of file from its
+    pipe; reaps the child, and re-raises the exception it sent."""
+    try:
+        with open(r, "rb") as f:
+            data = f.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if not data:
+        raise RuntimeError(
+            f"worker process {pid} exited with status "
+            f"{os.waitstatus_to_exitcode(status)} before sending its results"
+        )
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
 
 
 def _fmt(x) -> str:
@@ -195,16 +272,23 @@ def _write_survival(cfg: ExperimentConfig, w: RunWriter) -> np.ndarray:
     return surv
 
 
-def _pools(cfg: ExperimentConfig, w: RunWriter, spec) -> WPools:
+def _call(job):
+    return job()
+
+
+def _pool_jobs(cfg: ExperimentConfig, w: RunWriter, spec) -> list:
+    """The draws of pools A and B, as argument-free jobs."""
     horizon = _default_horizon(cfg, spec)
-    pool_a = conditioned_w_pool(
-        cfg.params, spec, cfg.k1, horizon, cfg.pool_size,
-        w.stage_seed("pool-a"), cfg.population_cap,
-    )
-    pool_b = conditioned_w_pool(
-        cfg.params, spec, cfg.k2, horizon, cfg.pool_size,
-        w.stage_seed("pool-b"), cfg.population_cap,
-    )
+    return [
+        functools.partial(
+            conditioned_w_pool, cfg.params, spec, k, horizon, cfg.pool_size,
+            w.stage_seed(tag), cfg.population_cap,
+        )
+        for tag, k in (("pool-a", cfg.k1), ("pool-b", cfg.k2))
+    ]
+
+
+def _write_pools(cfg: ExperimentConfig, w: RunWriter, spec, pool_a, pool_b) -> WPools:
     w.write_csv("wpool_a.csv", ["value"], [(v,) for v in pool_a])
     w.write_csv("wpool_b.csv", ["value"], [(v,) for v in pool_b])
     surv = _write_survival(cfg, w)
@@ -213,8 +297,13 @@ def _pools(cfg: ExperimentConfig, w: RunWriter, spec) -> WPools:
         pool_b=pool_b,
         surv_a=float(surv[cfg.k1]),
         surv_b=float(surv[cfg.k2]),
-        horizon=horizon,
+        horizon=_default_horizon(cfg, spec),
     )
+
+
+def _pools(cfg: ExperimentConfig, w: RunWriter, spec, workers: int) -> WPools:
+    pools = parallel_map(_call, _pool_jobs(cfg, w, spec), workers)
+    return _write_pools(cfg, w, spec, *pools)
 
 
 def _trajectory_rows(X, Y) -> list[tuple]:
@@ -245,7 +334,7 @@ def _run_bp(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
         "trajectory_mean.csv", ["generation", "side", "type", "mean_count"],
         _trajectory_rows(X.sum(axis=0) / cfg.bp_reps, Y.sum(axis=0) / cfg.bp_reps),
     )
-    _pools(cfg, w, spec)
+    _pools(cfg, w, spec, workers)
 
 
 def _coincidence_rows(schemes, seed: int) -> list[tuple]:
@@ -307,7 +396,7 @@ def _write_approx_law(w: RunWriter, spec, pools: WPools) -> None:
 
 def _run_approx(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
     spec = derived_scalars(cfg.params)
-    _write_approx_law(w, spec, _pools(cfg, w, spec))
+    _write_approx_law(w, spec, _pools(cfg, w, spec, workers))
 
 
 _COMPARE_HEADER = [
@@ -321,7 +410,17 @@ def _run_compare(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
         spec = derived_scalars(cfg.params)
     except ValidationError:
         spec = None
-    law = _run_graph_dist(cfg, w, workers)
+    # one parallel pass: the pools first, so that the strided shares of
+    # parallel_map send them to different processes, then the replicates
+    jobs = _pool_jobs(cfg, w, spec) if spec is not None else []
+    n_pools = len(jobs)
+    jobs += [
+        functools.partial(sample_pair_distance, cfg.params, cfg.k1, cfg.k2, s)
+        for s in distance_seeds(w.stage_seed("graph-dist"), cfg.graph_reps)
+    ]
+    results = parallel_map(_call, jobs, workers)
+    law = DistanceLaw.from_samples(results[n_pools:])
+    w.write_csv("distances.csv", ["distance", "count"], law.to_rows())
     if spec is None:
         # not supercritical: the branching approximation degenerates to
         # pure defect mass, so only the infinite-distance row is checkable
@@ -334,7 +433,7 @@ def _run_compare(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
             [("inf", emp_inf, defect, abs(emp_inf - defect), math.nan)],
         )
         return
-    pools = _pools(cfg, w, spec)
+    pools = _write_pools(cfg, w, spec, *results[:n_pools])
     _write_approx_law(w, spec, pools)
     table = compare(law, spec, pools)
     w.write_csv(
@@ -386,7 +485,7 @@ def _run_ghosts(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
     seed = w.stage_seed("ghosts")
     rows = ghost_scaling(
         cfg.params, spec, cfg.depth, cfg.bp_reps, seed,
-        k1=cfg.k1, k2=cfg.k2, workers=workers,
+        k1=cfg.k1, k2=cfg.k2, workers=workers, population_cap=cfg.population_cap,
     )
     w.write_csv(
         "ghosts.csv",

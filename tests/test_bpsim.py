@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -85,6 +86,14 @@ class TestSimulate:
         with pytest.raises(PopulationCapError, match="generation") as exc:
             simulate(p, 0, 8, seed=2, population_cap=10_000)
         assert exc.value.generation >= 1
+
+    def test_population_cap_error_pickles(self):
+        # a cap hit in a worker process reaches the caller pickled
+        err = PopulationCapError(3, 10, 5)
+        copy = pickle.loads(pickle.dumps(err))
+        assert type(copy) is PopulationCapError
+        assert (copy.generation, copy.count, copy.cap) == (3, 10, 5)
+        assert str(copy) == str(err)
 
     def test_start_validation(self, scalar4):
         with pytest.raises(ValidationError, match="invalid start type"):

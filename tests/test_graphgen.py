@@ -315,8 +315,8 @@ class TestMeetInTheMiddle:
 
     def test_search_imports_no_numpy_ma(self):
         # plain np.unique imports numpy.ma on first use, 13-18 ms that
-        # every fresh worker process would pay; a subprocess because the
-        # test session may have imported numpy.ma already
+        # every run would pay; a subprocess because the test session may
+        # have imported numpy.ma already
         code = (
             "import math, sys\n"
             "from igdist import ModelParams\n"

@@ -1,12 +1,18 @@
 import dataclasses
+import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from igdist import derive_seed, load_config, runner
 from igdist.cli import main as cli_main
+from igdist.bpsim import labeled_growth
 from igdist.config import config_from_dict
 from igdist.errors import ConfigError, PopulationCapError
 from igdist.model import derived_scalars
@@ -169,43 +175,139 @@ class TestConfig:
 
 
 class TestParallelMap:
-    def test_order_preserved(self):
+    def test_order_preserved(self, monkeypatch):
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
         args = list(range(40))
-        assert parallel_map(_square, args, 1) == [a * a for a in args]
-        assert parallel_map(_square, args, 4) == [a * a for a in args]
+        for workers in (1, 2, 3):
+            assert parallel_map(_square, args, workers) == [a * a for a in args]
+        _assert_no_child()
 
     def test_processes_capped_by_tasks_and_cpus(self, monkeypatch):
-        started = []
+        # the caller works one share, so w workers fork w - 1 children; a
+        # fork beyond the expected count raises before it starts a process
+        forks, real_fork = [], os.fork
+        allowed = [0]
 
-        class SerialPool:
-            """Records max_workers and maps in this process."""
+        def counting_fork():
+            if len(forks) >= allowed[0]:
+                raise AssertionError(f"fork {len(forks) + 1} beyond the cap")
+            forks.append(1)
+            return real_fork()
 
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args, chunksize=1):
-                return map(fn, args)
-
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(runner.os, "fork", counting_fork)
         monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
-        assert parallel_map(_square, [1, 2, 3], 5000) == [1, 4, 9]
-        assert parallel_map(_square, list(range(10)), 5000) == [
-            a * a for a in range(10)
-        ]
-        assert started == [3, 4]
+        for args, children in (([1, 2, 3], 2), (list(range(10)), 3)):
+            forks.clear()
+            allowed[0] = children
+            assert parallel_map(_square, args, 5000) == [a * a for a in args]
+            assert len(forks) == children
         monkeypatch.setattr(runner.os, "cpu_count", lambda: None)
+        forks.clear()
+        allowed[0] = 0
         assert parallel_map(_square, [1, 2, 3], 5000) == [1, 4, 9]
-        assert started == [3, 4]
+        _assert_no_child()
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "child"])
+    def test_failure_propagates_and_leaves_no_child(self, failing, monkeypatch):
+        # the last child sleeps far longer than the test may take, so only
+        # killing it lets the call return in time
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match=f"task {failing}"):
+            parallel_map(functools.partial(_fail_or_sleep, failing), [0, 1, 2], 3)
+        assert time.monotonic() - t0 < 20
+        _assert_no_child()
+
+    def test_child_exit_status_named(self):
+        with pytest.raises(RuntimeError, match="exited with status 7"):
+            parallel_map(_exit_seven_at_one, [0, 1, 2, 3], 2)
+        _assert_no_child()
+
+    def test_unpicklable_child_result_named(self):
+        with pytest.raises(RuntimeError, match="could not be pickled"):
+            parallel_map(_closure, [0, 1], 2)
+        _assert_no_child()
+
+    def test_child_failure_keeps_parent_files(self, tmp_path):
+        # run() discards its output when a stage raises; a child that
+        # unwound into that handler would delete the parent's files
+        cfg = load_config(write_config(tmp_path, MINIMAL))
+        w = RunWriter(tmp_path / "out", cfg, "spectral")
+        path = w.write_csv("kept.csv", ["x"], [(1,)])
+        with pytest.raises(ValueError, match="task 1"):
+            try:
+                parallel_map(functools.partial(_fail_or_sleep, 1), [0, 1], 2)
+            except BaseException:
+                assert path.exists()
+                w.discard()
+                raise
+        assert not path.exists()
+        _assert_no_child()
+
+    def test_cap_error_from_child_share(self):
+        # the child's share hits the cap; the caller's share does not
+        p = config_from_dict(MINIMAL).params
+
+        def grow(cap):
+            return labeled_growth(p, 0, 0, 3, 0, population_cap=cap).depth
+
+        with pytest.raises(PopulationCapError) as direct:
+            grow(50)
+        with pytest.raises(PopulationCapError) as err:
+            parallel_map(grow, [10**9, 50], 2)
+        assert str(err.value) == str(direct.value)
+        assert (err.value.generation, err.value.count, err.value.cap) == (
+            direct.value.generation, direct.value.count, 50,
+        )
+        _assert_no_child()
+
+    def test_imports_no_executor(self):
+        # concurrent.futures and multiprocessing cost import time and
+        # memory in every run; a subprocess because the test session may
+        # have imported them already
+        code = (
+            "import sys\n"
+            "import igdist.runner\n"
+            "assert igdist.runner.parallel_map(abs, [-1, -2], 2) == [1, 2]\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+        )
+        src = str(Path(runner.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 def _square(x):
     return x * x
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_or_sleep(failing, x):
+    if x == failing:
+        raise ValueError(f"task {x}")
+    if x == 2:
+        time.sleep(300)
+
+
+def _closure(x):
+    return lambda: x
+
+
+def _exit_seven_at_one(x):
+    if x == 1:
+        os._exit(7)
+    return x
 
 
 class TestRun:
@@ -386,6 +488,39 @@ class TestCli:
         )
         assert code == 3
         assert "population cap" in capsys.readouterr().err
+
+    def test_cap_error_same_at_every_worker_count(self, tmp_path, capsys):
+        # at two workers pool A runs in the caller and pool B in a child;
+        # both hit the cap, and the error and exit code stay those of one
+        # worker
+        doc = dict(MINIMAL, population_cap=5000, horizon=10)
+        doc["model"] = {"n": [1000], "m": [1000], "P": [[0.02]]}  # tau = 400
+        path = write_config(tmp_path, doc)
+        errors = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            code = cli_main(
+                ["compare", "--config", str(path), "--out", str(out),
+                 "--workers", workers]
+            )
+            assert code == 3
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert "population cap exceeded" in errors[0]
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_ghosts_obey_population_cap(self, tmp_path, capsys, workers):
+        doc = dict(MINIMAL, population_cap=50, model={
+            "n": [300, 400], "m": [350, 450], "P": [[0.004, 0.001], [0.0008, 0.003]],
+        })
+        path = write_config(tmp_path, doc)
+        code = cli_main(
+            ["ghosts", "--config", str(path), "--out", str(tmp_path / "o"),
+             "--workers", workers]
+        )
+        assert code == 3
+        assert "population cap exceeded" in capsys.readouterr().err
 
     def test_workers_flag_does_not_change_results(self, tmp_path):
         path = write_config(tmp_path, MINIMAL)

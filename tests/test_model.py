@@ -60,7 +60,7 @@ class TestValidate:
 
     def test_arrays_are_read_only(self):
         p = ModelParams(n=[5], m=[5], P=[[0.1]])
-        copy = pickle.loads(pickle.dumps(p))  # as sent to a worker process
+        copy = pickle.loads(pickle.dumps(p))
         for a in (p.n, p.m, p.P, copy.n, copy.m, copy.P):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1
