@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphgen import DistanceLaw
-from .model import SpectralData, _readonly
+from .model import SpectralData, _array
 from .errors import ValidationError
 
 _BLOCK = 1 << 17  # elements of the one working buffer: 1 MiB of float64
@@ -27,7 +27,7 @@ _TOL = 1e-15  # interpolation error allowed in the pair mean
 class WPools:
     """Conditioned positive martingale-limit samples for the two roots,
     with the survival probabilities that weight them.  Checked once, on
-    construction: nonempty pools of positive finite values, held as
+    construction: nonempty 1-D pools of positive finite values, held as
     read-only copies, and survival probabilities in [0,1]."""
 
     pool_a: np.ndarray
@@ -37,8 +37,8 @@ class WPools:
     horizon: int
 
     def __post_init__(self):
-        object.__setattr__(self, "pool_a", _readonly(self.pool_a, np.float64))
-        object.__setattr__(self, "pool_b", _readonly(self.pool_b, np.float64))
+        object.__setattr__(self, "pool_a", _array(self.pool_a, "pool_a", np.float64, 1))
+        object.__setattr__(self, "pool_b", _array(self.pool_b, "pool_b", np.float64, 1))
         for pool in (self.pool_a, self.pool_b):
             if pool.size == 0:
                 raise ValidationError("empty pool")

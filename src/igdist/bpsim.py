@@ -268,6 +268,8 @@ def extinction_frequency(
     """
     if not 0 <= start_type < p.K:
         raise ValidationError(f"invalid vertex type {start_type}")
+    if horizon < 0:
+        raise ValidationError("horizon must be >= 0")
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     rng = np.random.default_rng(derive_seed(seed, "extinction"))
@@ -330,12 +332,14 @@ def labeled_growth(
     """Grow the two-rooted labeled process for 2*depth generations.
 
     Indices are assigned per family as uniform distinct subsets of the
-    type's index range.  Individuals are classified generation by
-    generation in ascending (type, parent, sibling) order: a child of a
-    ghost is a ghost; a child whose index was already claimed by a kept
-    individual of the same type is a ghost, flagged 2 when the claim
-    happened in its own generation; everything else is kept (class 1).
-    Edges arise only from kept parents to children of class 1 or 2.
+    type's index range, drawing child types in ascending order.  Each
+    side numbers its (type, index) pairs with global ids, so one step
+    per generation classifies all children in ascending (type, parent,
+    sibling) order: a child of a ghost is a ghost; a child whose id was
+    already claimed by a kept individual is a ghost, flagged 2 when the
+    claim happened in its own generation; everything else is kept
+    (class 1).  Edges arise only from kept parents to children of class
+    1 or 2.
 
     With prune_ghosts=True ghosts get no offspring; the induced edge set
     and distances are unchanged in law, but deep ghost tallies then only
@@ -348,127 +352,69 @@ def labeled_growth(
             raise ValidationError(f"invalid vertex type {k}")
 
     rng = np.random.default_rng(seed)
-    v_off = np.concatenate([[0], np.cumsum(p.n)])
-    o_off = np.concatenate([[0], np.cumsum(p.m)])
-
-    # generation of first class-1 claim per (side, type, index); -1 = never
-    first_gen_x = [np.full(int(c), -1, dtype=np.int64) for c in p.n]
-    first_gen_y = [np.full(int(c), -1, dtype=np.int64) for c in p.m]
+    # one entry per side: type sizes, global id offsets, P[parent type,
+    # child type] toward the side, ids claimed by a kept individual,
+    # ghost tallies per vertex/object generation, and edge endpoints
+    sizes = {"X": p.n, "Y": p.m}
+    P_to = {"X": p.P.T, "Y": p.P}
+    off = {s: np.concatenate([[0], np.cumsum(c)]) for s, c in sizes.items()}
+    claimed = {s: np.zeros(o[-1], dtype=bool) for s, o in off.items()}
+    ghosts = {s: np.zeros((depth + 1, len(c)), np.int64) for s, c in sizes.items()}
+    ends = {s: [np.empty(0, dtype=np.int64)] for s in sizes}
 
     ix_b = 1 if k1 == k2 else 0
-    roots = GenerationRecord(
-        side="X",
-        types=np.asarray([k1, k2], dtype=np.int64),
-        indices=np.asarray([0, ix_b], dtype=np.int64),
-        classes=np.asarray([1, 1], dtype=np.int8),
-        parent_rows=np.asarray([-1, -1], dtype=np.int64),
-    )
-    first_gen_x[k1][0] = 0
-    first_gen_x[k2][ix_b] = 0
-
-    generations = [roots]
-    ghost_x = np.zeros((depth + 1, p.K), dtype=np.int64)
-    ghost_y = np.zeros((depth + 1, p.J), dtype=np.int64)
-    edges_v: list[np.ndarray] = []
-    edges_o: list[np.ndarray] = []
+    root_a, root_b = int(off["X"][k1]), int(off["X"][k2]) + ix_b
+    claimed["X"][[root_a, root_b]] = True
+    generations = [
+        GenerationRecord(
+            side="X",
+            types=np.asarray([k1, k2], dtype=np.int64),
+            indices=np.asarray([0, ix_b], dtype=np.int64),
+            classes=np.asarray([1, 1], dtype=np.int8),
+            parent_rows=np.asarray([-1, -1], dtype=np.int64),
+        )
+    ]
 
     for g in range(1, 2 * depth + 1):
-        parent_rec = generations[-1]
-        to_objects = parent_rec.side == "X"
-        child_side = "Y" if to_objects else "X"
-        n_child_types = p.J if to_objects else p.K
-        sizes = p.m if to_objects else p.n
-        first_gen = first_gen_y if to_objects else first_gen_x
-        x_gen = (g + 1) // 2  # vertex/object generation index i
+        parent = generations[-1]
+        ps, cs = parent.side, "Y" if parent.side == "X" else "X"
+        kept = parent.classes == 1
+        rows = np.flatnonzero(kept) if prune_ghosts else np.arange(kept.size)
 
-        if prune_ghosts:
-            parent_sel = np.flatnonzero(parent_rec.classes == 1)
-        else:
-            parent_sel = np.arange(parent_rec.size())
-        if parent_sel.size == 0:
-            break
-        par_types = parent_rec.types[parent_sel]
-        par_classes = parent_rec.classes[parent_sel]
-        par_indices = parent_rec.indices[parent_sel]
-
-        types_parts, ix_parts, cls_parts, prow_parts = [], [], [], []
-        for b in range(n_child_types):
-            universe = int(sizes[b])
-            pvals = p.P[par_types, b] if to_objects else p.P[b, par_types]
-            counts = rng.binomial(universe, pvals)
-            total = int(counts.sum())
-            if total == 0:
-                continue
-            fam = np.repeat(np.arange(parent_sel.size), counts)
+        # draws only, child type by child type; an empty family set
+        # consumes no randomness
+        draws = []
+        for b, universe in enumerate(sizes[cs].tolist()):
+            counts = rng.binomial(universe, P_to[cs][parent.types[rows], b])
+            fam = np.repeat(np.arange(rows.size), counts)
             ix = sample_family_subsets(rng, fam, universe)
-            pcls = par_classes[fam]
-
-            cls = np.zeros(total, dtype=np.int8)
-            elig = np.flatnonzero(pcls == 1)
-            if elig.size:
-                fg = first_gen[b]
-                e_ix = ix[elig]
-                fresh = fg[e_ix] < 0
-                f_slots = elig[fresh]
-                if f_slots.size:
-                    f_ix = ix[f_slots]
-                    win = np.zeros(f_slots.size, dtype=bool)
-                    _, first_pos = np.unique(f_ix, return_index=True)
-                    win[first_pos] = True
-                    cls[f_slots[win]] = 1
-                    cls[f_slots[~win]] = 2
-                    fg[f_ix[win]] = g
-                # indices claimed in an earlier generation stay plain ghosts
-
-            emask = (pcls == 1) & (cls != 0)
-            if emask.any():
-                child_nodes = (o_off[b] if to_objects else v_off[b]) + ix[emask]
-                par_t = par_types[fam[emask]]
-                par_nodes = (
-                    v_off[par_t] if to_objects else o_off[par_t]
-                ) + par_indices[fam[emask]]
-                if to_objects:
-                    edges_v.append(par_nodes)
-                    edges_o.append(child_nodes)
-                else:
-                    edges_v.append(child_nodes)
-                    edges_o.append(par_nodes)
-
-            ghosts = int(np.count_nonzero(cls != 1))
-            if to_objects:
-                ghost_y[x_gen, b] += ghosts
-            else:
-                ghost_x[x_gen, b] += ghosts
-
-            types_parts.append(np.full(total, b, dtype=np.int64))
-            ix_parts.append(ix)
-            cls_parts.append(cls)
-            prow_parts.append(parent_sel[fam])
-
-        if not types_parts:
+            draws.append((np.full(fam.size, b, dtype=np.int64), ix, fam))
+        types, ix, fam = (np.concatenate(a) for a in zip(*draws))
+        if types.size == 0:
             break
-        rec = GenerationRecord(
-            side=child_side,
-            types=np.concatenate(types_parts),
-            indices=np.concatenate(ix_parts),
-            classes=np.concatenate(cls_parts),
-            parent_rows=np.concatenate(prow_parts),
-        )
-        _check_cap(rec.size(), population_cap, g)
-        generations.append(rec)
 
-    empty = np.empty(0, dtype=np.int64)
+        # classify every child at once on global ids, which never
+        # collide across child types
+        gid = off[cs][types] + ix
+        fresh = np.flatnonzero(kept[rows[fam]] & ~claimed[cs][gid])
+        _, first = np.unique(gid[fresh], return_index=True)
+        cls = np.zeros(types.size, dtype=np.int8)
+        cls[fresh] = 2
+        cls[fresh[first]] = 1
+        claimed[cs][gid[fresh]] = True
+        edge = rows[fam[cls != 0]]
+        ends[cs].append(gid[cls != 0])
+        ends[ps].append(off[ps][parent.types[edge]] + parent.indices[edge])
+        ghost_types = types[cls != 1]
+        ghosts[cs][(g + 1) // 2] += np.bincount(ghost_types, minlength=len(sizes[cs]))
+        _check_cap(types.size, population_cap, g)
+        generations.append(GenerationRecord(cs, types, ix, cls, rows[fam]))
+
     return LabeledForest(
-        params=p,
-        depth=depth,
-        generations=generations,
-        ghost_x=ghost_x,
-        ghost_y=ghost_y,
-        edges_v=np.concatenate(edges_v) if edges_v else empty,
-        edges_o=np.concatenate(edges_o) if edges_o else empty,
-        root_a=int(v_off[k1]) + 0,
-        root_b=int(v_off[k2]) + ix_b,
-        pruned=prune_ghosts,
+        params=p, depth=depth, generations=generations,
+        ghost_x=ghosts["X"], ghost_y=ghosts["Y"],
+        edges_v=np.concatenate(ends["X"]), edges_o=np.concatenate(ends["Y"]),
+        root_a=root_a, root_b=root_b, pruned=prune_ghosts,
     )
 
 
@@ -491,6 +437,9 @@ def ghost_scaling(
     empirical signature of the uniform ghost-mean bound.
     """
     from .runner import parallel_map  # runner imports this module
+
+    if reps < 1:
+        raise ValidationError("reps must be >= 1")
 
     def ghosts(s):
         f = labeled_growth(p, k1, k2, depth, s, population_cap=population_cap)

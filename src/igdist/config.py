@@ -13,8 +13,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .coincidence import SamplingScheme
 from .errors import ConfigError, ValidationError
 from .model import ModelParams, Rank1Params, rank1_build
@@ -62,39 +60,33 @@ def _is_integer(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _model_from_block(block: dict) -> ModelParams:
-    extra = set(block) - {"n", "m", "P"}
+def _block(block, name: str, required: tuple, optional: tuple = ()) -> dict:
+    """A config sub-object with every required key and no unknown one."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    extra = set(block) - set(required) - set(optional)
     if extra:
-        raise ConfigError(f"unknown model keys: {sorted(extra)}")
-    for key in ("n", "m", "P"):
+        raise ConfigError(f"unknown {name} keys: {sorted(extra)}")
+    for key in required:
         if key not in block:
-            raise ConfigError(f"model block missing '{key}'")
-    return ModelParams(
-        n=np.asarray(block["n"]), m=np.asarray(block["m"]), P=np.asarray(block["P"])
-    )
+            raise ConfigError(f"{name} block missing '{key}'")
+    return block
 
 
-def _rank1_from_block(block: dict) -> tuple[ModelParams, Rank1Params]:
-    extra = set(block) - {"alpha", "beta", "n", "m"}
-    if extra:
-        raise ConfigError(f"unknown rank1 keys: {sorted(extra)}")
-    for key in ("alpha", "beta", "n", "m"):
-        if key not in block:
-            raise ConfigError(f"rank1 block missing '{key}'")
-    r = Rank1Params(alpha=np.asarray(block["alpha"]), beta=np.asarray(block["beta"]))
+def _model_from_block(block) -> ModelParams:
+    block = _block(block, "model", ("n", "m", "P"))
+    return ModelParams(n=block["n"], m=block["m"], P=block["P"])
+
+
+def _rank1_from_block(block) -> tuple[ModelParams, Rank1Params]:
+    block = _block(block, "rank1", ("alpha", "beta", "n", "m"))
+    r = Rank1Params(alpha=block["alpha"], beta=block["beta"])
     params, _, _, _ = rank1_build(r, block["n"], block["m"])
     return params, r
 
 
 def _scheme_from_block(block) -> SamplingScheme:
-    if not isinstance(block, dict):
-        raise ConfigError("scheme must be a JSON object")
-    extra = set(block) - {"w", "zA", "zB", "wstar"}
-    if extra:
-        raise ConfigError(f"unknown scheme keys: {sorted(extra)}")
-    for key in ("w", "zA", "zB"):
-        if key not in block:
-            raise ConfigError(f"scheme missing '{key}'")
+    block = _block(block, "scheme", ("w", "zA", "zB"), ("wstar",))
     try:
         s = SamplingScheme(
             w=block["w"], draws_a=block["zA"], draws_b=block["zB"],

@@ -18,20 +18,24 @@ import numpy as np
 from .errors import ValidationError
 
 
-def _readonly(values, dtype) -> np.ndarray:
-    """A read-only copy of `values`; the caller's array stays writable."""
-    a = np.array(values, dtype=dtype)
+def _array(values, name: str, dtype, ndim: int) -> np.ndarray:
+    """A read-only `dtype` copy of `values` with `ndim` axes; the
+    caller's array stays writable.  Only numbers that convert without
+    loss pass: integers for int64, integers or floats for float64.
+    Bools, strings, ragged nesting and, for int64, floats (even integral
+    ones, which are never truncated) raise ValidationError."""
+    try:
+        a = np.asarray(values)
+    except ValueError as e:  # ragged nesting
+        raise ValidationError(f"{name} is not an array: {e}") from e
+    if a.ndim != ndim:
+        raise ValidationError(f"{name} must be {ndim}-D, got shape {a.shape}")
+    kinds, what = ("iu", "integers") if dtype == np.int64 else ("iuf", "numbers")
+    if a.size and a.dtype.kind not in kinds:
+        raise ValidationError(f"{name} must be {what}, got {a.tolist()}")
+    a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
-
-
-def _counts(values, name: str) -> np.ndarray:
-    """A read-only int64 copy of integer counts.  Bools and floats, even
-    integral ones, are rejected rather than truncated."""
-    a = np.asarray(values)
-    if a.size and a.dtype.kind not in "iu":
-        raise ValidationError(f"{name} must be integers, got {a.tolist()}")
-    return _readonly(a, np.int64)
 
 
 @dataclass(frozen=True)
@@ -39,9 +43,9 @@ class ModelParams:
     """Vertex counts, object counts, and the edge-probability matrix.
 
     Rows of P index vertex types, columns index object types.  Checked
-    once, on construction: n and m hold integers, n_k >= 2, m_j >= 2,
-    p_kj in [0,1]; the arrays are read-only copies, so a model stays
-    valid.
+    once, on construction: n and m are 1-D and hold integers, P holds
+    numbers, n_k >= 2, m_j >= 2, p_kj in [0,1]; the arrays are read-only
+    copies, so a model stays valid.
     """
 
     n: np.ndarray
@@ -49,9 +53,9 @@ class ModelParams:
     P: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _counts(self.n, "n"))
-        object.__setattr__(self, "m", _counts(self.m, "m"))
-        object.__setattr__(self, "P", _readonly(self.P, np.float64))
+        object.__setattr__(self, "n", _array(self.n, "n", np.int64, 1))
+        object.__setattr__(self, "m", _array(self.m, "m", np.int64, 1))
+        object.__setattr__(self, "P", _array(self.P, "P", np.float64, 2))
         if self.K < 1 or self.J < 1:
             raise ValidationError("need at least one vertex type and one object type")
         if self.P.shape != (self.K, self.J):
@@ -96,14 +100,15 @@ class ModelParams:
 @dataclass(frozen=True)
 class Rank1Params:
     """Product-form edge probabilities p_kj = alpha_k * beta_j, checked
-    on construction to be positive and at most 1."""
+    on construction: alpha and beta are 1-D arrays of numbers, and every
+    p_kj is positive and at most 1."""
 
     alpha: np.ndarray
     beta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _readonly(self.alpha, np.float64))
-        object.__setattr__(self, "beta", _readonly(self.beta, np.float64))
+        object.__setattr__(self, "alpha", _array(self.alpha, "alpha", np.float64, 1))
+        object.__setattr__(self, "beta", _array(self.beta, "beta", np.float64, 1))
         if (self.alpha <= 0).any() or (self.beta <= 0).any():
             raise ValidationError("alpha and beta must be positive")
         P = np.outer(self.alpha, self.beta)

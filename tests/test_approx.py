@@ -342,6 +342,11 @@ class TestWPools:
         with pytest.raises(ValidationError, match="empty pool"):
             WPools(pool_a=a, pool_b=b, surv_a=0.5, surv_b=0.5, horizon=1)
 
+    @pytest.mark.parametrize("a, b", [([[1.0]], [1.0]), ([1.0], 2.0)])
+    def test_pools_must_be_one_dimensional(self, a, b):
+        with pytest.raises(ValidationError, match="must be 1-D"):
+            WPools(pool_a=a, pool_b=b, surv_a=0.5, surv_b=0.5, horizon=1)
+
     def test_pools_are_read_only_copies(self):
         a = np.array([1.0, 2.0])
         pools = WPools(pool_a=a, pool_b=[3.0], surv_a=0.5, surv_b=0.5, horizon=1)

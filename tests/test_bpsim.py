@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 
@@ -10,6 +11,7 @@ from igdist import (
     derive_seed,
     derived_scalars,
     extinction_frequency,
+    ghost_scaling,
     labeled_growth,
     simulate,
     survival_prob,
@@ -171,6 +173,10 @@ class TestSurvival:
         with pytest.raises(ValidationError, match="reps must be >= 1"):
             extinction_frequency(scalar4, 0, 5, 0, seed=1)
 
+    def test_extinction_frequency_rejects_negative_horizon(self, scalar4):
+        with pytest.raises(ValidationError, match="horizon must be >= 0"):
+            extinction_frequency(scalar4, 0, -3, 10, seed=1)
+
     def test_extinction_frequency_zero_model_is_one(self):
         p = ModelParams(n=[10, 5], m=[10, 4], P=[[0.0, 0.0], [0.0, 0.0]])
         assert extinction_frequency(p, 1, 5, 50, seed=1) == 1.0
@@ -290,18 +296,60 @@ class TestLabeledGrowth:
         with pytest.raises(ValidationError, match="depth"):
             labeled_growth(scalar4, 0, 0, depth=0, seed=1)
 
+    @pytest.mark.parametrize(
+        "model, k1, k2, depth, seed, prune, digest, ghost_x, ghost_y, distance",
+        [
+            ("two_by_two", 0, 1, 4, 4, False, "d79edc33d4e61049",
+             [[0, 0], [0, 0], [1, 0], [11, 9], [51, 48]],
+             [[0, 0], [0, 0], [0, 0], [4, 2], [27, 27]], 6),
+            ("two_by_two", 0, 1, 4, 4, True, "96359aa7fe7aedbb",
+             [[0, 0], [0, 0], [1, 0], [1, 2], [22, 16]],
+             [[0, 0], [0, 0], [0, 0], [1, 1], [4, 6]], 8),
+            ("dense_zero_block", 1, 1, 2, 2, False, "b33e8a33b7d646c6",
+             [[0, 0], [1, 14], [59, 156]], [[0, 0], [0, 2], [31, 29]], 1),
+            ("dense_zero_block", 1, 1, 2, 2, True, "bca7a351b899d1cd",
+             [[0, 0], [1, 9], [2, 0]], [[0, 0], [0, 2], [5, 3]], 1),
+        ],
+        ids=["2x2", "2x2-pruned", "dense", "dense-pruned"],
+    )
+    def test_stream_pinned(
+        self, request, model, k1, k2, depth, seed, prune, digest, ghost_x,
+        ghost_y, distance,
+    ):
+        # exact values of this implementation's random stream: the child
+        # types are drawn in ascending order and a repeated fresh index
+        # is class 2 after its first occurrence; both models produce
+        # class-2 children, and the second has p_kj > 1/2 and a zero block
+        if model == "two_by_two":
+            p = request.getfixturevalue("two_by_two")
+        else:
+            p = ModelParams(n=[3, 4], m=[5, 2], P=[[0.6, 0.0], [0.3, 0.9]])
+        f = labeled_growth(p, k1, k2, depth, seed, prune_ghosts=prune)
+        h = hashlib.sha256()
+        for rec in f.generations:
+            for a in (rec.types, rec.indices, rec.classes, rec.parent_rows):
+                h.update(a.tobytes())
+        h.update(f.edges_v.tobytes())
+        h.update(f.edges_o.tobytes())
+        assert h.hexdigest()[:16] == digest
+        assert f.ghost_x.tolist() == ghost_x
+        assert f.ghost_y.tolist() == ghost_y
+        assert f.distance() == distance
+
 
 class TestGhostScaling:
+    def test_zero_reps_rejected(self, scalar4, scalar4_spec):
+        with pytest.raises(ValidationError, match="reps must be >= 1"):
+            ghost_scaling(scalar4, scalar4_spec, 3, 0, seed=1)
+
     def test_zero_probability_no_ghosts(self, scalar4_spec):
         p = ModelParams(n=[10], m=[10], P=[[0.0]])
-        rows = __import__("igdist").ghost_scaling(p, scalar4_spec, 3, 50, seed=1)
+        rows = ghost_scaling(p, scalar4_spec, 3, 50, seed=1)
         assert all(r["ghostX_mean"] == 0.0 and r["ghostY_mean"] == 0.0 for r in rows)
 
     def test_two_scales_comparable_after_normalization(self):
         # same tau, populations 100x apart: dividing by tau^{2i} e(m,n)^4
         # brings the ghost means within a factor of 10
-        from igdist import derived_scalars, ghost_scaling
-
         ratios = []
         for n in (100, 10_000):
             p = ModelParams(n=[n], m=[n], P=[[2.0 / n]])  # tau = 4

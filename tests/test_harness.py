@@ -151,6 +151,33 @@ class TestConfig:
             load_config(path)
         assert cli_main(["spectral", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            (dict(MINIMAL, model=5), "model must be a JSON object"),
+            (dict(MINIMAL, model="nmP"), "model must be a JSON object"),
+            (dict(MINIMAL, model={"n": [1000], "m": [1000], "P": [["a"]]}),
+             "P must be numbers"),
+            (dict(MINIMAL, model={"n": 10, "m": [1000], "P": [[0.002]]}),
+             "n must be 1-D"),
+            (dict(MINIMAL, model={"n": [[1000]], "m": [1000], "P": [[0.002]]}),
+             "n must be 1-D"),
+            ({"rank1": [0.005], "seed": 1}, "rank1 must be a JSON object"),
+            ({"rank1": {"alpha": "ab", "beta": [1.0], "n": [200], "m": [500]},
+              "seed": 1}, "alpha must be 1-D"),
+        ],
+        ids=["model-int", "model-string", "P-string", "n-scalar", "n-2d",
+             "rank1-list", "alpha-string"],
+    )
+    def test_malformed_model_block_is_config_error(
+        self, tmp_path, capsys, doc, match
+    ):
+        path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+        assert cli_main(["spectral", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")

@@ -93,6 +93,40 @@ class TestValidate:
         with pytest.raises(ValidationError, match="must be integers"):
             ModelParams(n=n, m=m, P=np.full((len(n), len(m)), 0.1))
 
+    @pytest.mark.parametrize(
+        "n, match",
+        [(10, r"n must be 1-D, got shape \(\)"),
+         ([[1000]], r"n must be 1-D, got shape \(1, 1\)"),
+         ([[1000, 1000]], r"n must be 1-D, got shape \(1, 2\)")],
+        ids=["scalar", "column", "row"],
+    )
+    def test_counts_must_be_one_dimensional(self, n, match):
+        with pytest.raises(ValidationError, match=match):
+            ModelParams(n=n, m=[1000], P=[[0.002]])
+
+    @pytest.mark.parametrize(
+        "P, match",
+        [([["a"]], "P must be numbers"),
+         ([[True]], "P must be numbers"),
+         ([[None]], "P must be numbers"),
+         ([[0.1], [0.1, 0.2]], "P is not an array")],
+        ids=["string", "bool", "null", "ragged"],
+    )
+    def test_non_numeric_probabilities_rejected(self, P, match):
+        with pytest.raises(ValidationError, match=match):
+            ModelParams(n=[5] * len(P), m=[5], P=P)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, match",
+        [("ab", [1.0], "alpha must be 1-D"),
+         (["a"], [1.0], "alpha must be numbers"),
+         ([0.1], [[1.0]], "beta must be 1-D"),
+         ([0.1], [None], "beta must be numbers")],
+    )
+    def test_rank1_factors_must_be_numeric_vectors(self, alpha, beta, match):
+        with pytest.raises(ValidationError, match=match):
+            Rank1Params(alpha=alpha, beta=beta)
+
     def test_numpy_integer_counts_accepted(self):
         p = ModelParams(
             n=np.array([5], dtype=np.int32), m=np.array([5], dtype=np.uint16), P=[[0.1]]
