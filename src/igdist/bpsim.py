@@ -96,17 +96,17 @@ def _check_cap(count: int, cap: int, generation: int) -> None:
         raise PopulationCapError(generation, count, cap)
 
 
-def _generation(rng, p: ModelParams, x: list) -> tuple[list, list]:
+def _generation(rng, P: list, m: list, n: list, x: list) -> tuple[list, list]:
     """One aggregated vertex -> object -> vertex generation.
 
-    x holds one count per vertex type: a Python int for a lone
-    replicate, which keeps every binomial on numpy's scalar path, or an
-    int64 array over replicates for a batch.  Returns (y, x') in the
-    same form.  Object blocks draw in (k, j) order and vertex blocks in
-    (j, k) order, skipping p_kj = 0; a zero parent count consumes no
-    randomness, so the stream does not depend on which replicates live.
+    P, m and n are the model's arrays as Python lists.  x holds one
+    count per vertex type: a Python int for a lone replicate, which
+    keeps every binomial on numpy's scalar path, or an int64 array over
+    replicates for a batch.  Returns (y, x') in the same form.  Object
+    blocks draw in (k, j) order and vertex blocks in (j, k) order,
+    skipping p_kj = 0; a zero parent count consumes no randomness, so
+    the stream does not depend on which replicates live.
     """
-    P, m, n = p.P.tolist(), p.m.tolist(), p.n.tolist()
     zero = 0 * x[0]
     y = [zero] * len(m)
     for k, row in enumerate(P):
@@ -130,8 +130,9 @@ def _grow(rng, p: ModelParams, x: list, X: np.ndarray, Y: np.ndarray, cap: int):
     """Fill X[..., i, :] and Y[..., i - 1, :] for i = 1, 2, ... from the
     generation-0 state x, checking the cap on both sides; rows after
     every replicate has died out stay zero."""
+    P, m, n = p.P.tolist(), p.m.tolist(), p.n.tolist()
     for i in range(1, X.shape[-2]):
-        y, x = _generation(rng, p, x)
+        y, x = _generation(rng, P, m, n, x)
         _check_cap(_largest(sum(y)), cap, i)
         largest = _largest(sum(x))
         _check_cap(largest, cap, i)
@@ -168,13 +169,14 @@ def simulate(
     p: ModelParams,
     start,
     generations: int,
-    seed: int,
+    seed: int | np.random.Generator,
     population_cap: int = DEFAULT_POP_CAP,
 ) -> Trajectory:
     """Run the aggregated process for `generations` vertex generations.
 
     `start` is a single 0-based vertex type or a length-K count vector.
-    Deterministic given the seed.
+    Deterministic given the seed; `seed` is an int or a numpy Generator,
+    which the run advances.
     """
     if generations < 0:
         raise ValidationError("generations must be >= 0")
@@ -219,12 +221,13 @@ def w_sample(
     spec: SpectralData,
     start_type: int,
     horizon: int,
-    seed: int,
+    seed: int | np.random.Generator,
     population_cap: int = DEFAULT_POP_CAP,
 ) -> float:
     """One draw of the truncated martingale tau^-I * nu @ X(I) from a
     single type-k vertex; it is positive exactly when the run survives,
-    since nu is strictly positive."""
+    since nu is strictly positive.  `seed` is an int or a numpy
+    Generator, which the draw advances."""
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
     traj = simulate(p, start_type, horizon, seed, population_cap)
@@ -273,10 +276,11 @@ def extinction_frequency(
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     rng = np.random.default_rng(derive_seed(seed, "extinction"))
+    P, m, n = p.P.tolist(), p.m.tolist(), p.n.tolist()
     x = [np.full(reps, int(k == start_type), dtype=np.int64) for k in range(p.K)]
     extinct = 0
     for _ in range(horizon):
-        _, x = _generation(rng, p, x)
+        _, x = _generation(rng, P, m, n, x)
         total = sum(x)
         extinct += int(np.count_nonzero(total == 0))
         live = (total > 0) & (total <= _SURVIVING_POPULATION)
@@ -297,19 +301,18 @@ def conditioned_w_pool(
 ) -> np.ndarray:
     """Positive truncated-martingale values conditioned on survival.
 
-    Attempts are indexed substreams of the seed, so the pool is
-    reproducible regardless of batching.  Raises when the acceptance
-    rate falls below 1e-4.
+    Every attempt is one `w_sample` call, and the attempts draw in turn
+    from one Generator on the substream (seed, "w"), so the pool is
+    deterministic given the seed.  Raises when the acceptance rate falls
+    below 1e-4.
     """
     if pool_size < 1:
         raise ValidationError("pool_size must be >= 1")
+    rng = np.random.default_rng(derive_seed(seed, "w"))
     values = []
     attempts = 0
     while len(values) < pool_size:
-        value = w_sample(
-            p, spec, start_type, horizon, derive_seed(seed, "w", attempts),
-            population_cap,
-        )
+        value = w_sample(p, spec, start_type, horizon, rng, population_cap)
         attempts += 1
         if value > 0.0:
             values.append(value)
@@ -331,8 +334,10 @@ def labeled_growth(
 ) -> LabeledForest:
     """Grow the two-rooted labeled process for 2*depth generations.
 
-    Indices are assigned per family as uniform distinct subsets of the
-    type's index range, drawing child types in ascending order.  Each
+    Each generation first draws every child count, so `population_cap`
+    is checked before any index is.  Indices are then assigned per
+    family as uniform distinct subsets of the type's index range, in
+    ascending order, drawing child types in ascending order.  Each
     side numbers its (type, index) pairs with global ids, so one step
     per generation classifies all children in ascending (type, parent,
     sibling) order: a child of a ghost is a ghost; a child whose id was
@@ -381,17 +386,18 @@ def labeled_growth(
         kept = parent.classes == 1
         rows = np.flatnonzero(kept) if prune_ghosts else np.arange(kept.size)
 
-        # draws only, child type by child type; an empty family set
-        # consumes no randomness
-        draws = []
-        for b, universe in enumerate(sizes[cs].tolist()):
-            counts = rng.binomial(universe, P_to[cs][parent.types[rows], b])
-            fam = np.repeat(np.arange(rows.size), counts)
-            ix = sample_family_subsets(rng, fam, universe)
-            draws.append((np.full(fam.size, b, dtype=np.int64), ix, fam))
-        types, ix, fam = (np.concatenate(a) for a in zip(*draws))
-        if types.size == 0:
+        # counts[b, r]: type-b children of parent row rows[r].  Every
+        # count is drawn before any index, so the cap is checked first.
+        counts = rng.binomial(sizes[cs][:, None], P_to[cs][parent.types[rows]].T)
+        _check_cap(int(counts.sum()), population_cap, g)
+        if not counts.any():
             break
+        types = np.repeat(np.arange(len(counts)), counts.sum(axis=1))
+        fam = np.repeat(np.tile(np.arange(rows.size), len(counts)), counts.ravel())
+        ix = np.concatenate([
+            sample_family_subsets(rng, c, universe)
+            for c, universe in zip(counts, sizes[cs].tolist())
+        ])
 
         # classify every child at once on global ids, which never
         # collide across child types
@@ -407,7 +413,6 @@ def labeled_growth(
         ends[ps].append(off[ps][parent.types[edge]] + parent.indices[edge])
         ghost_types = types[cls != 1]
         ghosts[cs][(g + 1) // 2] += np.bincount(ghost_types, minlength=len(sizes[cs]))
-        _check_cap(types.size, population_cap, g)
         generations.append(GenerationRecord(cs, types, ix, cls, rows[fam]))
 
     return LabeledForest(

@@ -180,8 +180,8 @@ def _subset_keys(rng, reps: int, z: int, w: int) -> np.ndarray:
     replicate.  A draw of more than half the universe draws its
     complement, so the rejection rounds stay short."""
     small = min(z, w - z)
-    fam = np.repeat(np.arange(reps, dtype=np.int64), small)
-    keys = fam * w + sample_family_subsets(rng, fam, w)
+    base = np.repeat(np.arange(reps, dtype=np.int64) * w, small)
+    keys = base + sample_family_subsets(rng, np.full(reps, small), w)
     if small == z:
         return keys
     keep = np.ones(reps * w, dtype=bool)

@@ -21,34 +21,34 @@ from .seeding import derive_seed
 INF = math.inf
 
 
-def sample_family_subsets(rng, fam: np.ndarray, universe: int) -> np.ndarray:
+def sample_family_subsets(rng, counts, universe: int) -> np.ndarray:
     """Uniform distinct indices within each family, batched.
 
-    `fam` labels each slot with its family; the result gives every slot
-    an index in range(universe).  Each pending slot redraws uniformly
-    until free; earlier slots win intra-round ties.  Conditional on the
-    accepted set, every accepted value is uniform over its family's
-    unused indices, so the family's final index set is a uniform subset,
-    exactly as if filled one draw at a time.  A family filling most of
-    the universe needs many rounds, so callers drawing more than half of
-    it draw the complement instead.
+    Family f draws a uniform counts[f]-subset of range(universe); the
+    result concatenates the families' subsets in family order, each in
+    ascending order.  Every round sorts the keys family * universe +
+    index, keeps one copy of each repeated key and redraws the other
+    copies within their own family, until no key repeats.  A round
+    commutes with any permutation of one family's indices, and the
+    redraws are fresh uniforms, so each family's final set is a uniform
+    subset, independently of the other families.  A family filling most
+    of the universe needs many rounds, so callers drawing more than half
+    of it draw the complement instead.  `rng` is a numpy Generator,
+    which the draw advances.
     """
-    total = len(fam)
-    vals = np.empty(total, dtype=np.int64)
-    pending = np.arange(total)
-    taken = np.empty(0, dtype=np.int64)  # sorted keys fam * universe + value
-    while pending.size:
-        cand = rng.integers(0, universe, size=pending.size)
-        key, first_pos = np.unique(fam[pending] * universe + cand, return_index=True)
-        at = np.searchsorted(taken, key)
-        old = at < taken.size
-        old[old] = taken[at[old]] == key[old]
-        keep = np.zeros(pending.size, dtype=bool)
-        keep[first_pos[~old]] = True
-        vals[pending[keep]] = cand[keep]
-        taken = np.sort(np.concatenate([taken, key[~old]]))
-        pending = pending[~keep]
-    return vals
+    counts = np.asarray(counts, dtype=np.int64)
+    if (counts > universe).any():
+        raise ValidationError("a family is larger than its universe")
+    base = np.repeat(np.arange(counts.size, dtype=np.int64) * universe, counts)
+    keys = base + rng.integers(0, universe, size=base.size)
+    keys.sort()
+    while True:
+        dup = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+        if not dup.size:
+            return keys - base
+        # sorted keys stay grouped like `base`: redraws keep their family
+        keys[dup] = base[dup] + rng.integers(0, universe, size=dup.size)
+        keys.sort()
 
 
 class _Rows:
@@ -198,12 +198,13 @@ class DistanceLaw:
 def sample_bipartite(p: ModelParams, seed: int) -> BipartiteGraph:
     """Sample the typed bipartite graph with independent (v,u) edges.
 
-    Per (vertex class k, object class j) block, Binomial(m_j, p_kj)
-    degrees are drawn for all type-k vertices at once and each vertex's
-    objects are a uniform distinct subset, batched over the block; equal
-    in law to per-pair Bernoulli trials but linear in the edge count.
-    Blocks with p_kj > 1/2 draw their non-edges the same way with
-    probability 1 - p_kj, so the subset draws never fill a row.
+    Per (vertex class k, object class j) block of n_k * m_j cells, the
+    edge count is Binomial(n_k * m_j, p_kj) and the edge set a uniform
+    subset of that many cells, one `sample_family_subsets` draw; this
+    is equal in law to per-pair Bernoulli trials but linear in the edge
+    count.  Blocks with p_kj > 1/2 draw their non-edges the same way
+    with probability 1 - p_kj, so the subset draw never fills the
+    block.
     """
     rng = np.random.default_rng(seed)
     v_off = np.concatenate([[0], np.cumsum(p.n)])
@@ -211,22 +212,22 @@ def sample_bipartite(p: ModelParams, seed: int) -> BipartiteGraph:
     vs: list[np.ndarray] = []
     obs: list[np.ndarray] = []
     for k in range(p.K):
-        n_k = int(p.n[k])
         for j in range(p.J):
             prob = float(p.P[k, j])
             if prob == 0.0:
                 continue
             m_j = int(p.m[j])
+            cells = int(p.n[k]) * m_j
             dense = prob > 0.5
-            degs = rng.binomial(m_j, 1.0 - prob if dense else prob, size=n_k)
-            fam = np.repeat(np.arange(n_k), degs)
-            objs = sample_family_subsets(rng, fam, m_j)
+            count = rng.binomial(cells, 1.0 - prob if dense else prob)
+            cell = sample_family_subsets(rng, [count], cells)
             if dense:
-                keep = np.ones((n_k, m_j), dtype=bool)
-                keep[fam, objs] = False
-                fam, objs = np.nonzero(keep)
-            vs.append(fam + v_off[k])
-            obs.append(objs + o_off[j])
+                keep = np.ones(cells, dtype=bool)
+                keep[cell] = False
+                cell = np.flatnonzero(keep)
+            v, o = np.divmod(cell, m_j)
+            vs.append(v + v_off[k])
+            obs.append(o + o_off[j])
     empty = np.empty(0, dtype=np.int64)
     return BipartiteGraph.from_edges(
         p.n,

@@ -24,6 +24,7 @@ from igdist.errors import (
     SimulationError,
     ValidationError,
 )
+from igdist.graphgen import sample_family_subsets
 
 BIG_CAP = 10**12
 
@@ -222,6 +223,28 @@ class TestConditionedPool:
         b = conditioned_w_pool(scalar4, scalar4_spec, 0, 6, 100, seed=9)
         assert (a == b).all()
 
+    @pytest.mark.parametrize("model, start", [("scalar4", 0), ("two_by_two", 1)])
+    def test_one_stream_equals_substream_per_attempt_in_law(
+        self, request, model, start
+    ):
+        # the per-attempt sampler this pool replaced, kept as the oracle:
+        # attempt i runs on its own substream (seed, "w", i).  Two-sample
+        # KS on 2000-draw pools at horizon 8; seeds and bound fixed before
+        # the first run.
+        from scipy import stats
+
+        p = request.getfixturevalue(model)
+        spec = request.getfixturevalue(f"{model}_spec")
+        pool = conditioned_w_pool(p, spec, start, 8, 2000, seed=41)
+        oracle = []
+        attempt = 0
+        while len(oracle) < 2000:
+            w = w_sample(p, spec, start, 8, derive_seed(42, "w", attempt))
+            attempt += 1
+            if w > 0.0:
+                oracle.append(w)
+        assert stats.ks_2samp(pool, oracle).pvalue > 1e-3
+
     def test_survival_too_rare(self, scalar4_spec):
         p = ModelParams(n=[10], m=[10], P=[[0.0]])
         with pytest.raises(SimulationError, match="survival too rare"):
@@ -292,6 +315,24 @@ class TestLabeledGrowth:
         ) / 300.0
         assert tv <= 0.12
 
+    def test_cap_checked_before_any_index_is_drawn(self, monkeypatch):
+        # generation 1 has about 2 * 180 objects and generation 2 about
+        # 360 * 180 vertices; the cap must stop generation 2 once its
+        # counts are known, before any of its subsets is drawn
+        drawn = []
+
+        def watched(rng, counts, universe):
+            drawn.append(int(np.sum(counts)))
+            if drawn[-1] > 10_000:
+                raise AssertionError("subsets drawn past the cap")
+            return sample_family_subsets(rng, counts, universe)
+
+        monkeypatch.setattr("igdist.bpsim.sample_family_subsets", watched)
+        p = ModelParams(n=[200], m=[200], P=[[0.9]])
+        with pytest.raises(PopulationCapError, match="generation 2"):
+            labeled_growth(p, 0, 0, depth=1, seed=3, population_cap=10_000)
+        assert len(drawn) == 1  # generation 1's one object type
+
     def test_depth_validation(self, scalar4):
         with pytest.raises(ValidationError, match="depth"):
             labeled_growth(scalar4, 0, 0, depth=0, seed=1)
@@ -299,27 +340,33 @@ class TestLabeledGrowth:
     @pytest.mark.parametrize(
         "model, k1, k2, depth, seed, prune, digest, ghost_x, ghost_y, distance",
         [
-            ("two_by_two", 0, 1, 4, 4, False, "d79edc33d4e61049",
-             [[0, 0], [0, 0], [1, 0], [11, 9], [51, 48]],
-             [[0, 0], [0, 0], [0, 0], [4, 2], [27, 27]], 6),
-            ("two_by_two", 0, 1, 4, 4, True, "96359aa7fe7aedbb",
-             [[0, 0], [0, 0], [1, 0], [1, 2], [22, 16]],
-             [[0, 0], [0, 0], [0, 0], [1, 1], [4, 6]], 8),
-            ("dense_zero_block", 1, 1, 2, 2, False, "b33e8a33b7d646c6",
-             [[0, 0], [1, 14], [59, 156]], [[0, 0], [0, 2], [31, 29]], 1),
-            ("dense_zero_block", 1, 1, 2, 2, True, "bca7a351b899d1cd",
-             [[0, 0], [1, 9], [2, 0]], [[0, 0], [0, 2], [5, 3]], 1),
+            ("two_by_two", 0, 1, 4, 4, False, "2d33b03f4f2e2c90",
+             [[0, 0], [0, 0], [0, 0], [3, 5], [45, 29]],
+             [[0, 0], [0, 0], [0, 0], [0, 1], [22, 13]], math.inf),
+            ("two_by_two", 0, 1, 4, 4, True, "e05c673165451099",
+             [[0, 0], [0, 0], [0, 0], [3, 2], [29, 20]],
+             [[0, 0], [0, 0], [0, 0], [0, 1], [9, 8]], math.inf),
+            ("two_by_two", 0, 1, 4, 5, False, "2ab9a3b8fe38c741",
+             [[0, 0], [0, 0], [0, 2], [3, 3], [26, 18]],
+             [[0, 0], [0, 0], [0, 0], [0, 3], [10, 7]], 4),
+            ("dense_zero_block", 1, 1, 2, 2, False, "e1f4dea46ab65533",
+             [[0, 0], [2, 12], [65, 137]], [[0, 0], [0, 1], [35, 25]], 1),
+            ("dense_zero_block", 1, 1, 2, 2, True, "c255ef4d04ab993e",
+             [[0, 0], [2, 9], [4, 6]], [[0, 0], [0, 1], [11, 4]], 1),
         ],
-        ids=["2x2", "2x2-pruned", "dense", "dense-pruned"],
+        ids=["2x2", "2x2-pruned", "2x2-connected", "dense", "dense-pruned"],
     )
     def test_stream_pinned(
         self, request, model, k1, k2, depth, seed, prune, digest, ghost_x,
         ghost_y, distance,
     ):
-        # exact values of this implementation's random stream: the child
-        # types are drawn in ascending order and a repeated fresh index
-        # is class 2 after its first occurrence; both models produce
-        # class-2 children, and the second has p_kj > 1/2 and a zero block
+        # exact values of this implementation's random stream: all child
+        # counts are drawn first, then the child types' indices in
+        # ascending type order, and a repeated fresh index is class 2
+        # after its first occurrence; both models produce
+        # class-2 children, the third 2x2 case joins the roots at a
+        # distance above 1, and the second model has p_kj > 1/2 and a
+        # zero block
         if model == "two_by_two":
             p = request.getfixturevalue("two_by_two")
         else:

@@ -28,6 +28,27 @@ def graph_from_edges(n_vertices, n_objects, edges):
     return BipartiteGraph.from_edges([n_vertices], [n_objects], v, o)
 
 
+def _slot_by_slot_subsets(rng, fam, universe):
+    """Reference subset sampler: slot i takes an index for family
+    fam[i]; each pending slot redraws uniformly until its value is new
+    to its family, earlier slots winning ties within a round."""
+    vals = np.empty(len(fam), dtype=np.int64)
+    pending = np.arange(len(fam))
+    taken = np.empty(0, dtype=np.int64)  # sorted keys fam * universe + value
+    while pending.size:
+        cand = rng.integers(0, universe, size=pending.size)
+        key, first_pos = np.unique(fam[pending] * universe + cand, return_index=True)
+        at = np.searchsorted(taken, key)
+        old = at < taken.size
+        old[old] = taken[at[old]] == key[old]
+        keep = np.zeros(pending.size, dtype=bool)
+        keep[first_pos[~old]] = True
+        vals[pending[keep]] = cand[keep]
+        taken = np.sort(np.concatenate([taken, key[~old]]))
+        pending = pending[~keep]
+    return vals
+
+
 class TestSampling:
     def test_zero_probability(self):
         g = sample_bipartite(ModelParams(n=[20], m=[10], P=[[0.0]]), seed=1)
@@ -94,9 +115,9 @@ class TestSampling:
         from scipy import stats
 
         rng = np.random.default_rng(8)
-        fam = np.repeat(np.arange(1000), 2)
+        sizes = np.full(1000, 2)
         pairs = np.concatenate(
-            [sample_family_subsets(rng, fam, 5).reshape(-1, 2) for _ in range(20)]
+            [sample_family_subsets(rng, sizes, 5).reshape(-1, 2) for _ in range(20)]
         )
         pairs.sort(axis=1)
         assert (pairs[:, 0] < pairs[:, 1]).all()
@@ -104,6 +125,75 @@ class TestSampling:
         assert len(counts) == 10
         stat, pval = stats.chisquare(counts)
         assert pval > 1e-3
+
+    def test_subset_sampler_mixed_families(self):
+        # families of sizes 1, 0, 2 and 3 over universe 5, 20000 times
+        # each: the joint outcome of the three nonempty families has
+        # 5 * 10 * 10 equally likely cells exactly when each family is
+        # uniform and the families are independent.  Seed and bound were
+        # fixed before the first run.
+        from scipy import stats
+
+        reps = 20_000
+        rng = np.random.default_rng(21)
+        counts = np.tile([1, 0, 2, 3], reps)
+        ix = sample_family_subsets(rng, counts, 5).reshape(reps, 6)
+        one, two, three = ix[:, :1], ix[:, 1:3], ix[:, 3:]
+        for fam in (two, three):
+            assert (np.diff(fam, axis=1) > 0).all()  # ascending, distinct
+        code = [(fam[:, :, None] == np.arange(5)).any(axis=1) @ (1 << np.arange(5))
+                for fam in (one, two, three)]
+        # subsets of each size coded 0..C(5, size) - 1
+        rank = [np.unique(c, return_inverse=True)[1] for c in code]
+        assert [r.max() + 1 for r in rank] == [5, 10, 10]
+        joint = (rank[0] * 10 + rank[1]) * 10 + rank[2]
+        observed = np.bincount(joint, minlength=500)
+        assert stats.chisquare(observed).pvalue > 1e-3
+
+    def test_subset_sampler_matches_slot_by_slot_reference(self):
+        # the rounds keep the first copy of each new value and redraw the
+        # rest, as the reference does slot by slot, so from one stream
+        # both end with the same set per family and the same generator
+        # state; only the order inside a family differs
+        cases = np.random.default_rng(22)
+        for case in range(300):
+            universe = int(cases.integers(1, 40))
+            counts = cases.integers(0, universe + 1, size=int(cases.integers(0, 20)))
+            fam = np.repeat(np.arange(counts.size), counts)
+            rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
+            got = sample_family_subsets(rng, counts, universe)
+            ref = _slot_by_slot_subsets(ref_rng, fam, universe)
+            order = np.lexsort((ref, fam))
+            assert (got == ref[order]).all(), case
+            assert rng.integers(1 << 62) == ref_rng.integers(1 << 62), case
+
+    def test_subset_sampler_rejects_oversized_family(self):
+        with pytest.raises(ValidationError, match="larger than its universe"):
+            sample_family_subsets(np.random.default_rng(0), [2, 6], 5)
+
+    def test_cells_map_to_pairs_across_object_classes(self):
+        # each block is one subset of cells, cell = vertex * m_j + object;
+        # this model has a zero block, two dense blocks and two object
+        # classes, so a wrong offset or stride shows in the per-pair
+        # frequencies.  Each count is Binomial(reps, p); seed and bound
+        # were fixed before the first run.
+        from scipy import stats
+
+        params = ModelParams(n=[3, 4], m=[5, 2], P=[[0.6, 0.0], [0.3, 0.9]])
+        pair_p = np.repeat(np.repeat(params.P, params.n, axis=0), params.m, axis=1)
+        reps = 4000
+        counts = np.zeros(pair_p.shape, dtype=np.int64)
+        for r in range(reps):
+            g = sample_bipartite(params, seed=derive_seed(23, "cells", r))
+            v = np.repeat(np.arange(g.n_vertices), np.diff(g.vertex_ptr))
+            counts[v, g.vertex_idx] += 1
+        assert (counts[pair_p == 0.0] == 0).all()
+        live = pair_p > 0.0
+        expected = reps * pair_p[live]
+        stat = float(
+            (((counts[live] - expected) ** 2) / (expected * (1 - pair_p[live]))).sum()
+        )
+        assert stats.chi2.sf(stat, live.sum()) > 1e-3
 
 
 def _dense_distance(B):
