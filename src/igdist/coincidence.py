@@ -20,8 +20,8 @@ from .graphgen import sample_family_subsets
 from .seeding import derive_seed
 
 EXACT_COST_LIMIT = 10_000_000
-# Monte Carlo replicates per block times the largest universe: bounds the
-# keys held at once for any w.
+# Monte Carlo replicates per block times the keys one replicate holds
+# (`_footprint`): bounds the keys held at once for any scheme.
 _CHUNK = 1 << 18
 
 
@@ -189,6 +189,15 @@ def _subset_keys(rng, reps: int, z: int, w: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+def _footprint(s: SamplingScheme) -> int:
+    """Keys one Monte Carlo replicate holds in its largest class: z per
+    draw, or a w-long mask for a draw that takes its complement."""
+    return max(
+        sum(w if 2 * z > w else z for z in draws_a + draws_b)
+        for w, draws_a, draws_b in zip(s.w, s.draws_a, s.draws_b)
+    )
+
+
 def p_no_collision_mc(
     s: SamplingScheme, reps: int, seed: int
 ) -> tuple[float, float]:
@@ -201,7 +210,7 @@ def p_no_collision_mc(
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     rng = np.random.default_rng(derive_seed(seed, "coincidence"))
-    block = max(1, _CHUNK // max(s.w))
+    block = max(1, _CHUNK // max(1, _footprint(s)))
     empty = np.empty(0, dtype=np.int64)
     hits = 0
     for lo in range(0, reps, block):

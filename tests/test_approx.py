@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import igdist
 from igdist import (
     DistanceLaw,
     WPools,
@@ -17,7 +22,14 @@ from igdist import (
     exceed_prob,
     sample_U_tilde,
 )
-from igdist.approx import _BLOCK, _chebyshev_degree, _pair_mean, theta_tilde
+from igdist import approx
+from igdist.approx import (
+    _BLOCK,
+    _chebyshev_degree,
+    _pair_mean,
+    _quadrature,
+    theta_tilde,
+)
 from igdist.errors import ValidationError
 
 POINT_MASS = WPools(pool_a=[1.0], pool_b=[1.0], surv_a=1.0, surv_b=1.0, horizon=12)
@@ -84,10 +96,10 @@ class TestPairMean:
     @pytest.mark.parametrize(
         "len_a, len_b, scale",
         [
-            (1, 1, 0.7),  # pools of length 1: direct
-            (40, 7, 1.3),  # direct: fewer pairs than the interpolation costs
-            (300, 1000, 0.2),  # interpolated
-            (3, _BLOCK + 5, 0.5),  # direct, one row per block
+            (1, 1, 0.7),  # pools of length 1: one atom each
+            (40, 7, 1.3),  # both keep their atoms: no more than 2 (deg+1)
+            (300, 1000, 0.2),  # both compressed to their nodes
+            (3, _BLOCK + 5, 0.5),  # A keeps its atoms, B compressed
         ],
     )
     def test_against_dense_reference(self, len_a, len_b, scale):
@@ -126,7 +138,7 @@ class TestPairMean:
 
 
 class TestPairMeanAgainstOracle:
-    """The interpolated pair mean against every pair, rel=1e-12."""
+    """The quadrature pair mean against every pair, rel=1e-12."""
 
     def test_wide_lognormal_pools(self):
         rng = np.random.default_rng(31)
@@ -148,8 +160,8 @@ class TestPairMeanAgainstOracle:
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_pool_as_long_as_the_nodes(self, extra):
-        # deg + 1 nodes: lengths deg and deg + 1 go direct; deg + 2 is
-        # interpolated because pool B is longer than 2 (deg+1)^2 + deg + 1
+        # deg + 1 nodes: pool A keeps its atoms at lengths deg to
+        # deg + 2, no more than 2 (deg + 1); pool B is compressed
         scale = 0.8
         deg = _chebyshev_degree(0.05 * scale, 20.0 * scale)
         a = np.geomspace(0.05, 20.0, deg + 1 + extra)
@@ -161,7 +173,7 @@ class TestPairMeanAgainstOracle:
 
     def test_wide_range_stays_in_memory(self):
         # 18 decades need deg + 1 > sqrt(_BLOCK) nodes, so the cosine
-        # table would outgrow _BLOCK: the pool is evaluated directly
+        # table would outgrow _BLOCK: the pool keeps its atoms
         a = np.geomspace(1e-9, 1e9, 2000)
         b = np.random.default_rng(38).lognormal(0.0, 1.0, 500)
         assert (_chebyshev_degree(1e-9, 1e9) + 1) ** 2 > _BLOCK
@@ -193,6 +205,139 @@ class TestPairMeanAgainstOracle:
             scale = s.kappa * s.tau**u * s.phi_n
             want = dense_pair_mean(a, b, scale)
             assert _pair_mean(a, b, scale) == pytest.approx(want, rel=1e-12)
+
+
+def lebesgue_bound(n: int) -> float:
+    """Chebyshev Lebesgue constant bound for n = deg + 1 nodes."""
+    return 1.0 + 2.0 / math.pi * math.log(n)
+
+
+@pytest.fixture(scope="module")
+def gamma_pools():
+    rng = np.random.default_rng(41)
+    return WPools(
+        pool_a=rng.gamma(2.0, 1.0, 2500),
+        pool_b=rng.gamma(2.0, 1.0, 2500),
+        surv_a=0.7,
+        surv_b=0.6,
+        horizon=14,
+    )
+
+
+class TestQuadrature:
+    def test_weights_reproduce_the_moments(self, gamma_pools):
+        pool = gamma_pools.pool_a
+        values, weights = _quadrature(pool)
+        deg = len(values) - 1
+        assert deg == _chebyshev_degree(pool.min(), pool.max())
+        assert len(pool) > 2 * (deg + 1)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-13)
+        lo, hi = np.log(pool.min()), np.log(pool.max())
+        y = (np.log(pool) - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
+        nodes = (np.log(values) - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
+        for k in range(deg + 1):
+            want = np.cos(k * np.arccos(np.clip(y, -1.0, 1.0))).mean()
+            got = weights @ np.cos(k * np.arccos(np.clip(nodes, -1.0, 1.0)))
+            assert abs(got - want) <= 1e-13
+
+    def test_lebesgue_bound(self, gamma_pools, scalar4, scalar4_spec):
+        rng = np.random.default_rng(42)
+        pools = {
+            "gamma": gamma_pools.pool_b,
+            "lognormal": rng.lognormal(0.0, 3.0, 5000),
+            "scalar4": conditioned_w_pool(scalar4, scalar4_spec, 0, 8, 2000, seed=43),
+        }
+        for name, pool in pools.items():
+            values, weights = _quadrature(pool)
+            assert len(values) < len(pool), name
+            assert 1.0 <= np.abs(weights).sum() <= lebesgue_bound(len(values)), name
+
+    def test_exceedances_against_every_pair(self, scalar2_spec, gamma_pools):
+        p = gamma_pools
+        sab = p.surv_a * p.surv_b
+        law = build_approx_law(scalar2_spec, p, range(-2, 4))
+        emp = DistanceLaw(counts={12: 5, 13: 5}, infinite_count=0, total=10)
+        table = compare(emp, scalar2_spec, p)
+        got = zip(law.exceed, (r.approx_exceed for r in table.finite_rows()))
+        for u, (from_law, from_compare) in zip(law.support, got):
+            scale = scalar2_spec.kappa * scalar2_spec.tau**u * scalar2_spec.phi_n
+            want = (1.0 - sab) + sab * dense_pair_mean(p.pool_a, p.pool_b, scale)
+            assert from_law == pytest.approx(want, rel=1e-12)
+            assert from_compare == pytest.approx(want, rel=1e-12)
+
+    def test_built_once_per_pool(self, monkeypatch, scalar2_spec, gamma_pools):
+        built = []
+
+        def counting(pool):
+            built.append(len(pool))
+            return _quadrature(pool)
+
+        monkeypatch.setattr(approx, "_quadrature", counting)
+        pools = replace(gamma_pools)
+        emp = DistanceLaw(counts={12: 5, 13: 5}, infinite_count=0, total=10)
+        # 12 exceed_prob calls, as the runner's compare makes
+        build_approx_law(scalar2_spec, pools, range(-2, 4))
+        compare(emp, scalar2_spec, pools)
+        assert built == [2500, 2500]
+        # a replaced instance starts without them
+        exceed_prob(scalar2_spec, replace(pools), 0)
+        assert len(built) == 4
+
+    def test_small_w_pools_keep_their_atoms(self, scalar2, scalar2_spec):
+        # 120 draws, as the benchmark's headline compare: compressing
+        # them would cost more than their pairs
+        for seed in (44, 45):
+            pool = conditioned_w_pool(scalar2, scalar2_spec, 0, 14, 120, seed=seed)
+            values, weights = _quadrature(pool)
+            assert len(pool) <= 2 * (_chebyshev_degree(pool.min(), pool.max()) + 1)
+            assert (values == pool).all()
+            assert (weights == 1.0 / 120).all()
+
+    def test_tied_pool_is_one_atom(self):
+        values, weights = _quadrature(np.full(50, 2.5))
+        assert values.tolist() == [2.5] and weights.tolist() == [1.0]
+
+    def test_pool_sharing_one_logarithm_keeps_its_atoms(self):
+        # 1e200 and the next float have the same log: no range to
+        # interpolate over
+        a = np.full(500, 1e200)
+        a[-1] = np.nextafter(1e200, 2e200)
+        assert _chebyshev_degree(a.min(), a.max()) == math.inf
+        values, weights = _quadrature(a)
+        assert (values == a).all() and (weights == 1.0 / 500).all()
+        b = np.random.default_rng(47).lognormal(0.0, 1.0, 400)
+        want = dense_pair_mean(a, b, 1e-200)
+        assert _pair_mean(a, b, 1e-200) == pytest.approx(want, rel=1e-12)
+
+    def test_pipeline_imports_no_fft_or_ma(self):
+        # numpy.fft adds about 0.6 MB of resident memory to every run; a
+        # subprocess because the test session may have imported both
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from igdist import DistanceLaw, ModelParams, WPools, derived_scalars\n"
+            "from igdist import build_approx_law, compare\n"
+            "rng = np.random.default_rng(46)\n"
+            "pools = WPools(pool_a=rng.gamma(2.0, 1.0, 2500),\n"
+            "               pool_b=rng.gamma(2.0, 1.0, 2500),\n"
+            "               surv_a=0.7, surv_b=0.6, horizon=14)\n"
+            "spec = derived_scalars(ModelParams(n=[10**4], m=[10**4], P=[[1.4e-4]]))\n"
+            "build_approx_law(spec, pools, range(-2, 4))\n"
+            "emp = DistanceLaw(counts={12: 5}, infinite_count=0, total=5)\n"
+            "compare(emp, spec, pools)\n"
+            "print('numpy.fft' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(igdist.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stdout.strip() == "False False"
 
 
 class TestCdfUPrime:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from igdist import (
     p_no_collision_mc,
     poisson_check,
 )
-from igdist.coincidence import _exact_class_prob
+from igdist.coincidence import _CHUNK, _exact_class_prob, _footprint
 from igdist.errors import CapacityError, ValidationError
 
 
@@ -181,6 +182,21 @@ class TestMC:
         assert p_no_collision_mc(s, 1000, seed=4) == p_no_collision_mc(
             s, 1000, seed=4
         )
+
+    def test_complement_heavy_memory_bounded(self):
+        # both draws take their complement, so a replicate holds two
+        # w-long masks: 6 replicates per block, 34 blocks
+        s = SamplingScheme(w=[20000], draws_a=[[15000]], draws_b=[[15000]])
+        assert _footprint(s) == 40000
+        tracemalloc.start()
+        try:
+            est, _ = p_no_collision_mc(s, 200, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est == 0.0
+        # all 200 replicates at once would hold 64 MB of keys alone
+        assert peak < 6 * _CHUNK * 8
 
 
 class TestPoissonCheck:
