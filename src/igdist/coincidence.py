@@ -177,21 +177,14 @@ def p_no_collision_exact(s: SamplingScheme) -> float:
 
 def _subset_keys(rng, reps: int, z: int, w: int) -> np.ndarray:
     """Keys rep * w + e of one uniform z-subset of range(w) per
-    replicate.  A draw of more than half the universe draws its
-    complement, so the rejection rounds stay short."""
-    small = min(z, w - z)
-    base = np.repeat(np.arange(reps, dtype=np.int64) * w, small)
-    keys = base + sample_family_subsets(rng, np.full(reps, small), w)
-    if small == z:
-        return keys
-    keep = np.ones(reps * w, dtype=bool)
-    keep[keys] = False
-    return np.flatnonzero(keep)
+    replicate."""
+    base = np.repeat(np.arange(reps, dtype=np.int64) * w, z)
+    return base + sample_family_subsets(rng, np.full(reps, z), w)
 
 
 def _footprint(s: SamplingScheme) -> int:
     """Keys one Monte Carlo replicate holds in its largest class: z per
-    draw, or a w-long mask for a draw that takes its complement."""
+    draw, or w for a draw over w/2: the mask `sample_family_subsets` holds."""
     return max(
         sum(w if 2 * z > w else z for z in draws_a + draws_b)
         for w, draws_a, draws_b in zip(s.w, s.draws_a, s.draws_b)

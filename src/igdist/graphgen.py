@@ -31,24 +31,38 @@ def sample_family_subsets(rng, counts, universe: int) -> np.ndarray:
     copies within their own family, until no key repeats.  A round
     commutes with any permutation of one family's indices, and the
     redraws are fresh uniforms, so each family's final set is a uniform
-    subset, independently of the other families.  A family filling most
-    of the universe needs many rounds, so callers drawing more than half
-    of it draw the complement instead.  `rng` is a numpy Generator,
-    which the draw advances.
+    subset, independently of the other families.  A family of more than
+    half the universe draws its universe - counts[f] missing indices
+    instead, which keeps the rounds short, and returns the rest of its
+    mask row.  `rng` is a numpy Generator, which the draw advances.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    if (counts > universe).any():
+    top = counts.max(initial=0)
+    if top > universe:
         raise ValidationError("a family is larger than its universe")
-    base = np.repeat(np.arange(counts.size, dtype=np.int64) * universe, counts)
+    drawn = np.minimum(counts, universe - counts) if 2 * top > universe else counts
+    base = np.repeat(np.arange(counts.size, dtype=np.int64) * universe, drawn)
     keys = base + rng.integers(0, universe, size=base.size)
     keys.sort()
     while True:
         dup = np.flatnonzero(keys[1:] == keys[:-1]) + 1
         if not dup.size:
-            return keys - base
+            break
         # sorted keys stay grouped like `base`: redraws keep their family
         keys[dup] = base[dup] + rng.integers(0, universe, size=dup.size)
         keys.sort()
+    ix = keys - base
+    if 2 * top <= universe:
+        return ix
+    flip = drawn < counts
+    missing = np.repeat(flip, drawn)
+    mask = np.ones((int(flip.sum()), universe), dtype=bool)
+    mask[np.repeat(np.arange(len(mask)), drawn[flip]), ix[missing]] = False
+    out_flip = np.repeat(flip, counts)
+    out = np.empty(out_flip.size, dtype=np.int64)
+    out[out_flip] = np.flatnonzero(mask) % universe
+    out[~out_flip] = ix[~missing]
+    return out
 
 
 class _Rows:
@@ -202,9 +216,7 @@ def sample_bipartite(p: ModelParams, seed: int) -> BipartiteGraph:
     edge count is Binomial(n_k * m_j, p_kj) and the edge set a uniform
     subset of that many cells, one `sample_family_subsets` draw; this
     is equal in law to per-pair Bernoulli trials but linear in the edge
-    count.  Blocks with p_kj > 1/2 draw their non-edges the same way
-    with probability 1 - p_kj, so the subset draw never fills the
-    block.
+    count.
     """
     rng = np.random.default_rng(seed)
     v_off = np.concatenate([[0], np.cumsum(p.n)])
@@ -218,13 +230,7 @@ def sample_bipartite(p: ModelParams, seed: int) -> BipartiteGraph:
                 continue
             m_j = int(p.m[j])
             cells = int(p.n[k]) * m_j
-            dense = prob > 0.5
-            count = rng.binomial(cells, 1.0 - prob if dense else prob)
-            cell = sample_family_subsets(rng, [count], cells)
-            if dense:
-                keep = np.ones(cells, dtype=bool)
-                keep[cell] = False
-                cell = np.flatnonzero(keep)
+            cell = sample_family_subsets(rng, [rng.binomial(cells, prob)], cells)
             v, o = np.divmod(cell, m_j)
             vs.append(v + v_off[k])
             obs.append(o + o_off[j])

@@ -27,6 +27,34 @@ from igdist.errors import (
 from igdist.graphgen import sample_family_subsets
 
 BIG_CAP = 10**12
+DENSE = ModelParams(n=[3, 4], m=[5, 2], P=[[0.6, 0.0], [0.3, 0.9]])
+
+
+def _rounds_only_subsets(rng, counts, universe):
+    """Oracle: the subset sampler before families over half their
+    universe were drawn as complements.  Every family runs the redraw
+    rounds whole, so it is equal in law to `sample_family_subsets` on
+    another random stream."""
+    counts = np.asarray(counts, dtype=np.int64)
+    base = np.repeat(np.arange(counts.size, dtype=np.int64) * universe, counts)
+    keys = base + rng.integers(0, universe, size=base.size)
+    keys.sort()
+    while True:
+        dup = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+        if not dup.size:
+            return keys - base
+        keys[dup] = base[dup] + rng.integers(0, universe, size=dup.size)
+        keys.sort()
+
+
+def _forest_digest(f):
+    h = hashlib.sha256()
+    for rec in f.generations:
+        for a in (rec.types, rec.indices, rec.classes, rec.parent_rows):
+            h.update(a.tobytes())
+    h.update(f.edges_v.tobytes())
+    h.update(f.edges_o.tobytes())
+    return h.hexdigest()[:16]
 
 
 class TestSimulate:
@@ -349,10 +377,10 @@ class TestLabeledGrowth:
             ("two_by_two", 0, 1, 4, 5, False, "2ab9a3b8fe38c741",
              [[0, 0], [0, 0], [0, 2], [3, 3], [26, 18]],
              [[0, 0], [0, 0], [0, 0], [0, 3], [10, 7]], 4),
-            ("dense_zero_block", 1, 1, 2, 2, False, "e1f4dea46ab65533",
-             [[0, 0], [2, 12], [65, 137]], [[0, 0], [0, 1], [35, 25]], 1),
-            ("dense_zero_block", 1, 1, 2, 2, True, "c255ef4d04ab993e",
-             [[0, 0], [2, 9], [4, 6]], [[0, 0], [0, 1], [11, 4]], 1),
+            ("dense_zero_block", 1, 1, 2, 2, False, "cdece2edf88d9a49",
+             [[0, 0], [3, 13], [78, 149]], [[0, 0], [0, 1], [38, 27]], 1),
+            ("dense_zero_block", 1, 1, 2, 2, True, "9b37e71f55491f83",
+             [[0, 0], [3, 9], [6, 2]], [[0, 0], [0, 1], [11, 4]], 1),
         ],
         ids=["2x2", "2x2-pruned", "2x2-connected", "dense", "dense-pruned"],
     )
@@ -365,23 +393,48 @@ class TestLabeledGrowth:
         # ascending type order, and a repeated fresh index is class 2
         # after its first occurrence; both models produce
         # class-2 children, the third 2x2 case joins the roots at a
-        # distance above 1, and the second model has p_kj > 1/2 and a
-        # zero block
-        if model == "two_by_two":
-            p = request.getfixturevalue("two_by_two")
-        else:
-            p = ModelParams(n=[3, 4], m=[5, 2], P=[[0.6, 0.0], [0.3, 0.9]])
+        # distance above 1, and the second model has a zero block and
+        # p_kj > 1/2, so some families are drawn as complements
+        p = request.getfixturevalue("two_by_two") if model == "two_by_two" else DENSE
         f = labeled_growth(p, k1, k2, depth, seed, prune_ghosts=prune)
-        h = hashlib.sha256()
-        for rec in f.generations:
-            for a in (rec.types, rec.indices, rec.classes, rec.parent_rows):
-                h.update(a.tobytes())
-        h.update(f.edges_v.tobytes())
-        h.update(f.edges_o.tobytes())
-        assert h.hexdigest()[:16] == digest
+        assert _forest_digest(f) == digest
         assert f.ghost_x.tolist() == ghost_x
         assert f.ghost_y.tolist() == ghost_y
         assert f.distance() == distance
+
+    @pytest.mark.parametrize(
+        "prune, digest", [(False, "e1f4dea46ab65533"), (True, "c255ef4d04ab993e")]
+    )
+    def test_rounds_only_oracle_is_the_former_stream(self, monkeypatch, prune, digest):
+        # the oracle reproduces the dense pins from before families over
+        # half their universe were drawn as complements
+        monkeypatch.setattr("igdist.bpsim.sample_family_subsets", _rounds_only_subsets)
+        f = labeled_growth(DENSE, 1, 1, 2, 2, prune_ghosts=prune)
+        assert _forest_digest(f) == digest
+
+    def test_complement_draw_equal_in_law_to_rounds_only(self, monkeypatch):
+        # DENSE has families over half their universe.  2000 forests at
+        # depth 2 from each sampler, on separate seeds: every ghost-tally
+        # mean, P(d > 1) and P(d = inf) of the root-to-root distance
+        # agree within 4 two-sample SE.  Replicates, seed and bound were
+        # fixed before the first run.
+        reps, seed = 2000, 37
+
+        def run(label):
+            tallies, dist = [], []
+            for r in range(reps):
+                f = labeled_growth(DENSE, 1, 1, 2, derive_seed(seed, label, r))
+                tallies.append(np.concatenate([f.ghost_x.ravel(), f.ghost_y.ravel()]))
+                dist.append(f.distance())
+            d = np.asarray(dist)
+            return np.column_stack([tallies, d > 1, d == math.inf]).astype(float)
+
+        new = run("new")
+        monkeypatch.setattr("igdist.bpsim.sample_family_subsets", _rounds_only_subsets)
+        oracle = run("oracle")
+        se = np.sqrt((new.var(axis=0) + oracle.var(axis=0)) / reps)
+        diff = np.abs(new.mean(axis=0) - oracle.mean(axis=0))
+        assert (diff <= 4 * se).all(), (diff, se)
 
 
 class TestGhostScaling:

@@ -28,10 +28,10 @@ def graph_from_edges(n_vertices, n_objects, edges):
     return BipartiteGraph.from_edges([n_vertices], [n_objects], v, o)
 
 
-def _slot_by_slot_subsets(rng, fam, universe):
-    """Reference subset sampler: slot i takes an index for family
-    fam[i]; each pending slot redraws uniformly until its value is new
-    to its family, earlier slots winning ties within a round."""
+def _slot_by_slot_draw(rng, fam, universe):
+    """Reference subset draw: slot i takes an index for family fam[i];
+    each pending slot redraws uniformly until its value is new to its
+    family, earlier slots winning ties within a round."""
     vals = np.empty(len(fam), dtype=np.int64)
     pending = np.arange(len(fam))
     taken = np.empty(0, dtype=np.int64)  # sorted keys fam * universe + value
@@ -47,6 +47,22 @@ def _slot_by_slot_subsets(rng, fam, universe):
         taken = np.sort(np.concatenate([taken, key[~old]]))
         pending = pending[~keep]
     return vals
+
+
+def _slot_by_slot_subsets(rng, counts, universe):
+    """Reference subset sampler: a family of more than half the
+    universe draws its universe - count missing indices slot by slot
+    and takes the rest; the others draw their own indices.  The
+    families' sets in family order."""
+    flip = 2 * counts > universe
+    drawn = np.where(flip, universe - counts, counts)
+    vals = _slot_by_slot_draw(rng, np.repeat(np.arange(counts.size), drawn), universe)
+    sets = np.split(vals, np.cumsum(drawn)[:-1])
+    return np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [np.setdiff1d(np.arange(universe), v) if f else v
+           for f, v in zip(flip, sets)]
+    )
 
 
 class TestSampling:
@@ -154,7 +170,8 @@ class TestSampling:
         # the rounds keep the first copy of each new value and redraw the
         # rest, as the reference does slot by slot, so from one stream
         # both end with the same set per family and the same generator
-        # state; only the order inside a family differs
+        # state; only the order inside a family differs.  Both draw a
+        # family over half the universe as its complement.
         cases = np.random.default_rng(22)
         for case in range(300):
             universe = int(cases.integers(1, 40))
@@ -162,10 +179,41 @@ class TestSampling:
             fam = np.repeat(np.arange(counts.size), counts)
             rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
             got = sample_family_subsets(rng, counts, universe)
-            ref = _slot_by_slot_subsets(ref_rng, fam, universe)
+            ref = _slot_by_slot_subsets(ref_rng, counts, universe)
             order = np.lexsort((ref, fam))
             assert (got == ref[order]).all(), case
             assert rng.integers(1 << 62) == ref_rng.integers(1 << 62), case
+
+    def test_subset_sampler_complements_families_over_half(self):
+        # from one seed, a family of U - c > U/2 is the complement of a
+        # family of c, and both leave the generator in the same state
+        universe = 30
+        for c in range(universe // 2):
+            rng, ref_rng = np.random.default_rng(c), np.random.default_rng(c)
+            got = sample_family_subsets(rng, [universe - c], universe)
+            drop = sample_family_subsets(ref_rng, [c], universe)
+            assert (got == np.setdiff1d(np.arange(universe), drop)).all(), c
+            assert rng.integers(1 << 62) == ref_rng.integers(1 << 62), c
+        # in one call: exactly half (drawn as is), full, empty, flipped
+        # and unflipped families, each ascending and in family order;
+        # the flipped families 1, 3, 5 and 7 draw their missing indices
+        counts = np.array([15, 30, 0, 22, 4, 29, 15, 16, 1])
+        drawn = np.array([15, 0, 0, 8, 4, 1, 15, 14, 1])
+        got = sample_family_subsets(np.random.default_rng(40), counts, universe)
+        raw = _slot_by_slot_draw(
+            np.random.default_rng(40), np.repeat(np.arange(counts.size), drawn),
+            universe,
+        )
+        parts = np.split(got, np.cumsum(counts)[:-1])
+        for f, (part, own) in enumerate(
+            zip(parts, np.split(raw, np.cumsum(drawn)[:-1]))
+        ):
+            assert part.size == counts[f]
+            assert (np.diff(part) > 0).all(), f
+            if f in (1, 3, 5, 7):
+                own = np.setdiff1d(np.arange(universe), own)
+            assert (part == np.sort(own)).all(), f
+        assert (parts[1] == np.arange(universe)).all()
 
     def test_subset_sampler_rejects_oversized_family(self):
         with pytest.raises(ValidationError, match="larger than its universe"):
