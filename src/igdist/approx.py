@@ -23,6 +23,9 @@ from .errors import ValidationError
 _BLOCK = 1 << 17  # elements of the one working buffer: 1 MiB of float64
 _TOL = 1e-15  # interpolation error allowed in the pair mean
 
+# offsets u of the exceedances P[D > i0 + u] that a comparison reports
+U_WINDOW = range(-2, 4)
+
 
 @dataclass(frozen=True)
 class WPools:
@@ -284,7 +287,7 @@ def compare(
     empirical: DistanceLaw,
     spec: SpectralData,
     pools: WPools,
-    u_window=None,
+    u_window=U_WINDOW,
 ) -> ComparisonTable:
     """Empirical exceedances against the branching-process approximation.
 
@@ -292,8 +295,6 @@ def compare(
     approximate exceedance, plus a defect row comparing the empirical
     infinite mass with 1 - surv_a * surv_b.
     """
-    if u_window is None:
-        u_window = range(-2, 4)
     u_values = [int(u) for u in u_window if spec.i0 + int(u) >= 0]
     if not u_values:
         raise ValidationError("comparison window is empty")

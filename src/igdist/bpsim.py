@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .graphgen import BipartiteGraph, pair_distance, sample_family_subsets
-from .model import ModelParams, SpectralData
+from .model import ModelParams, SpectralData, _vertex_type
 from .seeding import derive_seed
 
 DEFAULT_POP_CAP = 100_000_000
@@ -80,7 +80,6 @@ class LabeledForest:
     edges_o: np.ndarray
     root_a: int
     root_b: int
-    pruned: bool = False
 
     def distance(self):
         """Intersection-graph distance between the two roots; inf when
@@ -144,27 +143,6 @@ def _grow(rng, p: ModelParams, x: list, X: np.ndarray, Y: np.ndarray, cap: int):
             return
 
 
-def _start_vector(p: ModelParams, start) -> np.ndarray:
-    """Either a single 0-based type id or a length-K count vector."""
-    if isinstance(start, (int, np.integer)):
-        # e_k: nonempty, nonnegative and within n_k >= 2 by construction
-        if not 0 <= int(start) < p.K:
-            raise ValidationError(f"invalid start type {start}")
-        x0 = np.zeros(p.K, dtype=np.int64)
-        x0[int(start)] = 1
-        return x0
-    x0 = np.asarray(start, dtype=np.int64)
-    if x0.shape != (p.K,):
-        raise ValidationError("start must be a type id or a length-K count vector")
-    if x0.sum() == 0:
-        raise ValidationError("start must be nonempty")
-    if (x0 < 0).any():
-        raise ValidationError("start counts must be nonnegative")
-    if (x0 > p.n).any():
-        raise ValidationError("X(0) exceeds available vertices of some type")
-    return x0
-
-
 def simulate(
     p: ModelParams,
     start,
@@ -172,19 +150,20 @@ def simulate(
     seed: int | np.random.Generator,
     population_cap: int = DEFAULT_POP_CAP,
 ) -> Trajectory:
-    """Run the aggregated process for `generations` vertex generations.
+    """Run the aggregated process for `generations` vertex generations
+    from one vertex of the 0-based type `start`.
 
-    `start` is a single 0-based vertex type or a length-K count vector.
     Deterministic given the seed; `seed` is an int or a numpy Generator,
     which the run advances.
     """
     if generations < 0:
         raise ValidationError("generations must be >= 0")
-    x0 = _start_vector(p, start)
+    k = _vertex_type(p, start)
     X = np.zeros((generations + 1, p.K), dtype=np.int64)
     Y = np.zeros((generations, p.J), dtype=np.int64)
-    X[0] = x0
-    _grow(np.random.default_rng(seed), p, x0.tolist(), X, Y, population_cap)
+    X[0, k] = 1
+    x = [int(i == k) for i in range(p.K)]
+    _grow(np.random.default_rng(seed), p, x, X, Y, population_cap)
     return Trajectory(X=X, Y=Y)
 
 
@@ -196,7 +175,8 @@ def simulate_batch(
     seed: int,
     population_cap: int = DEFAULT_POP_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Many independent runs at once, vectorized across replicates.
+    """Many independent runs at once from one vertex of the 0-based type
+    `start` each, vectorized across replicates.
 
     Returns (X, Y) with shapes (reps, generations+1, K) and
     (reps, generations, J).  Replicates occupy slots of one shared
@@ -207,11 +187,11 @@ def simulate_batch(
         raise ValidationError("generations must be >= 0")
     if reps < 1:
         raise ValidationError("reps must be >= 1")
-    x0 = _start_vector(p, start)
+    k = _vertex_type(p, start)
     X = np.zeros((reps, generations + 1, p.K), dtype=np.int64)
     Y = np.zeros((reps, generations, p.J), dtype=np.int64)
-    X[:, 0] = x0
-    x = [np.full(reps, c, dtype=np.int64) for c in x0.tolist()]
+    X[:, 0, k] = 1
+    x = [np.full(reps, int(i == k), dtype=np.int64) for i in range(p.K)]
     _grow(np.random.default_rng(seed), p, x, X, Y, population_cap)
     return X, Y
 
@@ -269,15 +249,14 @@ def extinction_frequency(
     replicate leaves the batch when it dies out or when its population
     passes _SURVIVING_POPULATION, which counts it as surviving.
     """
-    if not 0 <= start_type < p.K:
-        raise ValidationError(f"invalid vertex type {start_type}")
+    k = _vertex_type(p, start_type)
     if horizon < 0:
         raise ValidationError("horizon must be >= 0")
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     rng = np.random.default_rng(derive_seed(seed, "extinction"))
     P, m, n = p.P.tolist(), p.m.tolist(), p.n.tolist()
-    x = [np.full(reps, int(k == start_type), dtype=np.int64) for k in range(p.K)]
+    x = [np.full(reps, int(i == k), dtype=np.int64) for i in range(p.K)]
     extinct = 0
     for _ in range(horizon):
         _, x = _generation(rng, P, m, n, x)
@@ -352,9 +331,7 @@ def labeled_growth(
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
-    for k in (k1, k2):
-        if not 0 <= k < p.K:
-            raise ValidationError(f"invalid vertex type {k}")
+    k1, k2 = _vertex_type(p, k1), _vertex_type(p, k2)
 
     rng = np.random.default_rng(seed)
     # one entry per side: type sizes, global id offsets, P[parent type,
@@ -419,7 +396,7 @@ def labeled_growth(
         params=p, depth=depth, generations=generations,
         ghost_x=ghosts["X"], ghost_y=ghosts["Y"],
         edges_v=np.concatenate(ends["X"]), edges_o=np.concatenate(ends["Y"]),
-        root_a=root_a, root_b=root_b, pruned=prune_ghosts,
+        root_a=root_a, root_b=root_b,
     )
 
 

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .bpsim import DEFAULT_POP_CAP
 from .coincidence import SamplingScheme
 from .errors import ConfigError, ValidationError
 from .model import ModelParams, Rank1Params, rank1_build
@@ -31,12 +32,17 @@ _TOP_KEYS = {
     "scheme",
     "population_cap",
 }
-_REP_KEYS = {"graph", "pool", "bp"}
+# reps key -> ExperimentConfig field
+_REP_FIELDS = {"graph": "graph_reps", "pool": "pool_size", "bp": "bp_reps"}
+# top-level keys holding an integer >= 1, or null where the field's
+# default is None
+_INTEGER_KEYS = ("k1", "k2", "horizon", "depth", "workers", "population_cap")
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; k1/k2 are 0-based internally."""
+    """Validated experiment description; k1/k2 are 0-based internally.
+    The defaults here are the config file's defaults."""
 
     params: ModelParams
     seed: int
@@ -50,7 +56,7 @@ class ExperimentConfig:
     workers: int = 1
     output_dir: str = "out"
     scheme: SamplingScheme | None = None
-    population_cap: int = 100_000_000
+    population_cap: int = DEFAULT_POP_CAP
     rank1: Rank1Params | None = None
     raw: dict = field(default_factory=dict, repr=False)
 
@@ -117,43 +123,39 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         params, rank1 = _rank1_from_block(doc["rank1"])
 
     reps = doc.get("reps", {})
-    if not isinstance(reps, dict) or set(reps) - _REP_KEYS:
+    if not isinstance(reps, dict) or set(reps) - set(_REP_FIELDS):
         raise ConfigError(
-            f"reps must be an object with keys among {sorted(_REP_KEYS)}"
+            f"reps must be an object with keys among {sorted(_REP_FIELDS)}"
         )
     for key, v in reps.items():
         if not _is_integer(v) or v < 1:
             raise ConfigError(f"reps.{key} must be a positive integer")
+    # a key left out takes the ExperimentConfig default
+    opts = {_REP_FIELDS[key]: v for key, v in reps.items()}
 
-    def positive_type(name, default, minimum=1):
-        v = doc.get(name, default)
-        if v is None:
-            return None
-        if not _is_integer(v) or v < minimum:
-            raise ConfigError(f"{name} must be an integer >= {minimum}")
-        return v
+    for key in _INTEGER_KEYS:
+        if key not in doc:
+            continue
+        v = doc[key]
+        nullable = getattr(ExperimentConfig, key) is None
+        if not (v is None and nullable) and not (_is_integer(v) and v >= 1):
+            raise ConfigError(f"{key} must be an integer >= 1")
+        opts[key] = v
+    for key in ("k1", "k2"):
+        if key in opts:
+            if opts[key] > params.K:
+                raise ConfigError(f"k1/k2 must be within 1..{params.K}")
+            opts[key] -= 1  # 1-based in the file
 
-    k1 = positive_type("k1", 1)
-    k2 = positive_type("k2", 1)
-    if k1 > params.K or k2 > params.K:
-        raise ConfigError(f"k1/k2 must be within 1..{params.K}")
+    if "output_dir" in doc:
+        if not isinstance(doc["output_dir"], str):
+            raise ConfigError("output_dir must be a string")
+        opts["output_dir"] = doc["output_dir"]
+    if "scheme" in doc:
+        opts["scheme"] = _scheme_from_block(doc["scheme"])
 
     return ExperimentConfig(
-        params=params,
-        rank1=rank1,
-        seed=doc["seed"],
-        k1=k1 - 1,
-        k2=k2 - 1,
-        graph_reps=reps.get("graph", 1000),
-        pool_size=reps.get("pool", 1000),
-        bp_reps=reps.get("bp", 10000),
-        horizon=positive_type("horizon", None),
-        depth=positive_type("depth", 6),
-        workers=positive_type("workers", 1),
-        output_dir=str(doc.get("output_dir", "out")),
-        scheme=_scheme_from_block(doc["scheme"]) if "scheme" in doc else None,
-        population_cap=positive_type("population_cap", 100_000_000),
-        raw=doc,
+        params=params, rank1=rank1, seed=doc["seed"], raw=doc, **opts
     )
 
 

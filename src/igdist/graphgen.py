@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import ModelParams
+from .model import ModelParams, _vertex_type
 from .seeding import derive_seed
 
 INF = math.inf
@@ -338,9 +338,7 @@ def empirical_distance_law(
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
-    for k in (k1, k2):
-        if not 0 <= k < p.K:
-            raise ValidationError(f"invalid vertex type {k}")
+    k1, k2 = _vertex_type(p, k1), _vertex_type(p, k2)
     from .runner import parallel_map  # runner imports this module
 
     replicate = functools.partial(sample_pair_distance, p, k1, k2)

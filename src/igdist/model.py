@@ -38,6 +38,15 @@ def _array(values, name: str, dtype, ndim: int) -> np.ndarray:
     return a
 
 
+def _vertex_type(p: ModelParams, k) -> int:
+    """k as a 0-based vertex type of p: an integer, never a bool or a
+    float, with 0 <= k < K; anything else raises ValidationError."""
+    is_integer = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+    if not (is_integer and 0 <= k < p.K):
+        raise ValidationError(f"invalid vertex type {k!r}")
+    return int(k)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Vertex counts, object counts, and the edge-probability matrix.

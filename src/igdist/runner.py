@@ -23,31 +23,30 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .approx import WPools, build_approx_law, compare
-from .bpsim import (
-    conditioned_w_pool, ghost_scaling, simulate, simulate_batch, survival_prob,
-)
+from .approx import U_WINDOW, WPools, build_approx_law, compare
+from .bpsim import conditioned_w_pool, ghost_scaling, simulate_batch, survival_prob
 from .coincidence import SamplingScheme, poisson_check
 from .config import ExperimentConfig
 from .errors import ConfigError, ValidationError
 from .graphgen import (
     DistanceLaw, distance_seeds, empirical_distance_law, sample_pair_distance,
 )
-from .model import derived_scalars, mean_matrices, perron, rank1_build
+from .model import derived_scalars, identity_report, mean_matrices, perron, rank1_build
 from .seeding import derive_seed
 
 def parallel_map(fn, args_list, workers: int):
     """Map preserving argument order; worker count never affects results.
 
-    The caller is one of w = min(workers, tasks, CPUs) workers.  Share i
-    holds tasks i, i + w, i + 2w, ...: the caller works share 0, and
-    w - 1 children forked from it (POSIX only) work the others, each
-    sending back one pickled list.  Tasks reach the children through
+    The caller is one of w = min(workers, tasks, CPUs) workers, counting
+    the CPUs this process may run on.  Share i holds tasks i, i + w,
+    i + 2w, ...: the caller works share 0, and w - 1 children forked
+    from it (POSIX only) work the others, each sending back one pickled
+    list.  Tasks reach the children through
     fork, so only results and exceptions are pickled.  If any share
     fails, the caller kills the children still working and reaps every
     child before it raises the failure.
     """
-    w = min(workers, len(args_list), os.cpu_count() or 1)
+    w = min(workers, len(args_list), _cpus())
     if w <= 1:
         return [fn(a) for a in args_list]
     children = {}  # pid -> read end of its pipe, until it is reaped
@@ -76,6 +75,14 @@ def parallel_map(fn, args_list, workers: int):
     for i, share in enumerate(shares):
         out[i::w] = share
     return out
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _work_share(fn, share, wr) -> None:
@@ -239,8 +246,6 @@ def _spectral_payload(spec) -> dict:
 
 
 def _run_spectral(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
-    from .model import identity_report
-
     spec = derived_scalars(cfg.params)
     w.write_json("spectral.json", _spectral_payload(spec))
     rep = identity_report(spec)
@@ -317,18 +322,14 @@ def _trajectory_rows(X, Y) -> list[tuple]:
 def _run_bp(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
     spec = derived_scalars(cfg.params)
     horizon = _default_horizon(cfg, spec)
-    seed = w.stage_seed("bp")
-    traj = simulate(
-        cfg.params, cfg.k1, horizon, derive_seed(seed, "trajectory", 0),
-        cfg.population_cap,
+    X, Y = simulate_batch(
+        cfg.params, cfg.k1, horizon, cfg.bp_reps,
+        derive_seed(w.stage_seed("bp"), "rep"), cfg.population_cap,
     )
+    # replicate 0 of the iid batch is one run of the process
     w.write_csv(
         "trajectory.csv", ["generation", "side", "type", "count"],
-        _trajectory_rows(traj.X, traj.Y),
-    )
-    X, Y = simulate_batch(
-        cfg.params, cfg.k1, horizon, cfg.bp_reps, derive_seed(seed, "rep"),
-        cfg.population_cap,
+        _trajectory_rows(X[0], Y[0]),
     )
     w.write_csv(
         "trajectory_mean.csv", ["generation", "side", "type", "mean_count"],
@@ -388,7 +389,7 @@ def _run_coincidence(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
 
 
 def _write_approx_law(w: RunWriter, spec, pools: WPools) -> None:
-    law = build_approx_law(spec, pools, range(-2, 4))
+    law = build_approx_law(spec, pools, U_WINDOW)
     rows = [(u, e) for u, e in zip(law.support, law.exceed)]
     rows.append(("inf", law.defect))
     w.write_csv("approx_law.csv", ["u", "exceed_prob"], rows)

@@ -10,6 +10,7 @@ from igdist import (
     conditioned_w_pool,
     derive_seed,
     derived_scalars,
+    empirical_distance_law,
     extinction_frequency,
     ghost_scaling,
     labeled_growth,
@@ -100,12 +101,14 @@ class TestSimulate:
         [
             ("scalar4", 0),
             ("two_by_two", 1),
-            (ModelParams(n=[20, 30], m=[25, 15], P=[[0.05, 0.1], [0.0, 0.0]]), [1, 1]),
+            (ModelParams(n=[20, 30], m=[25, 15], P=[[0.05, 0.1], [0.0, 0.0]]), 0),
         ],
         ids=["scalar4", "two_by_two", "zero_row"],
     )
     def test_lone_replicate_matches_batch_of_one(self, request, model, start):
-        # the scalar and the array binomial paths must draw the same stream
+        # the scalar and the array binomial paths must draw the same
+        # stream; zero_row's type-0 objects draw type-1 vertices, whose
+        # zero P row skips every p_kj = 0 block
         p = request.getfixturevalue(model) if isinstance(model, str) else model
         for seed in range(20):
             t = simulate(p, start, 8, seed, population_cap=BIG_CAP)
@@ -127,14 +130,29 @@ class TestSimulate:
         assert str(copy) == str(err)
 
     def test_start_validation(self, scalar4):
-        with pytest.raises(ValidationError, match="invalid start type"):
+        with pytest.raises(ValidationError, match="invalid vertex type"):
             simulate(scalar4, 5, 2, seed=1)
-        with pytest.raises(ValidationError, match="nonempty"):
-            simulate(scalar4, [0], 2, seed=1)
-        with pytest.raises(ValidationError, match="exceeds available"):
-            simulate(scalar4, [1001], 2, seed=1)
-        t = simulate(scalar4, [2], 1, seed=1)
-        assert t.X[0][0] == 2
+        t = simulate(scalar4, np.int64(0), 1, seed=1)
+        assert t.X[0][0] == 1
+
+    @pytest.mark.parametrize("bad", [5, -1, [0], True, 0.0])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda p, k: simulate(p, k, 2, seed=1),
+            lambda p, k: simulate_batch(p, k, 2, 3, seed=1),
+            lambda p, k: extinction_frequency(p, k, 2, 3, seed=1),
+            lambda p, k: labeled_growth(p, 0, k, 1, seed=1),
+            lambda p, k: empirical_distance_law(p, k, 0, reps=1, seed=1),
+        ],
+        ids=["simulate", "simulate_batch", "extinction_frequency",
+             "labeled_growth", "empirical_distance_law"],
+    )
+    def test_every_run_rejects_a_bad_vertex_type(self, two_by_two, run, bad):
+        # one check for every typed start; a negative id would otherwise
+        # wrap around to the last type
+        with pytest.raises(ValidationError, match="invalid vertex type"):
+            run(two_by_two, bad)
 
 
 class TestMartingale:

@@ -101,6 +101,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="m_1"):
             load_config(write_config(tmp_path, doc))
 
+    @pytest.mark.parametrize("value", [None, 5, ["a"], True])
+    def test_output_dir_must_be_a_string(self, tmp_path, value):
+        # str() would turn each into a directory name: "None", "5", ...
+        path = write_config(tmp_path, dict(MINIMAL, output_dir=value))
+        with pytest.raises(ConfigError, match="output_dir must be a string"):
+            load_config(path)
+        assert cli_main(["spectral", "--config", str(path)]) == 2
+
     def test_k_range(self):
         doc = dict(MINIMAL)
         doc["k1"] = 2
@@ -143,6 +151,8 @@ class TestConfig:
             ("depth", [3], "depth"),
             ("workers", True, "workers"),
             ("population_cap", 1e6, "population_cap"),
+            ("k1", None, "k1"),
+            ("depth", None, "depth"),
         ],
     )
     def test_integer_fields_must_be_json_integers(self, tmp_path, key, value, match):
@@ -203,7 +213,7 @@ class TestConfig:
 
 class TestParallelMap:
     def test_order_preserved(self, monkeypatch):
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
+        _allow_cpus(monkeypatch, 4)
         args = list(range(40))
         for workers in (1, 2, 3):
             assert parallel_map(_square, args, workers) == [a * a for a in args]
@@ -222,23 +232,35 @@ class TestParallelMap:
             return real_fork()
 
         monkeypatch.setattr(runner.os, "fork", counting_fork)
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
+        _allow_cpus(monkeypatch, 4)
         for args, children in (([1, 2, 3], 2), (list(range(10)), 3)):
             forks.clear()
             allowed[0] = children
             assert parallel_map(_square, args, 5000) == [a * a for a in args]
             assert len(forks) == children
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: None)
+        # a mask smaller than the machine: one allowed CPU forks nothing
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
+        _allow_cpus(monkeypatch, 1)
         forks.clear()
         allowed[0] = 0
-        assert parallel_map(_square, [1, 2, 3], 5000) == [1, 4, 9]
+        assert parallel_map(_square, list(range(10)), 4) == [a * a for a in range(10)]
+        # without an affinity mask, the machine's CPUs, or one if unknown
+        monkeypatch.delattr(runner.os, "sched_getaffinity", raising=False)
+        for cpus, children in ((4, 3), (None, 0)):
+            monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+            forks.clear()
+            allowed[0] = children
+            assert parallel_map(_square, list(range(10)), 5000) == [
+                a * a for a in range(10)
+            ]
+            assert len(forks) == children
         _assert_no_child()
 
     @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "child"])
     def test_failure_propagates_and_leaves_no_child(self, failing, monkeypatch):
         # the last child sleeps far longer than the test may take, so only
         # killing it lets the call return in time
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
+        _allow_cpus(monkeypatch, 4)
         t0 = time.monotonic()
         with pytest.raises(ValueError, match=f"task {failing}"):
             parallel_map(functools.partial(_fail_or_sleep, failing), [0, 1, 2], 3)
@@ -313,6 +335,13 @@ class TestParallelMap:
 
 def _square(x):
     return x * x
+
+
+def _allow_cpus(monkeypatch, n):
+    """Let this process run on n CPUs, whatever the machine has."""
+    monkeypatch.setattr(
+        runner.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False
+    )
 
 
 def _assert_no_child():
@@ -437,6 +466,19 @@ class TestRun:
         cfg = load_config(write_config(tmp_path, MINIMAL))
         with pytest.raises(ConfigError, match="unknown subcommand"):
             run("frobnicate", cfg)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 5])
+    def test_trajectory_is_replicate_zero_of_the_batch(self, tmp_path, seed):
+        # with one replicate the mean is that replicate's counts
+        doc = json.loads((CONFIGS / "scalar4.json").read_text())
+        doc.update(seed=seed, horizon=6, reps={"graph": 1, "pool": 5, "bp": 1})
+        out = run("bp", config_from_dict(doc), out_dir=tmp_path / "out")
+        lone, mean = (
+            [line.split(",") for line in (out / name).read_text().splitlines()[1:]]
+            for name in ("trajectory.csv", "trajectory_mean.csv")
+        )
+        assert [r[:3] for r in lone] == [r[:3] for r in mean]
+        assert [int(r[3]) for r in lone] == [float(r[3]) for r in mean]
 
     def test_trajectory_csv_shape(self, tmp_path):
         cfg = load_config(write_config(tmp_path, MINIMAL))
