@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .graphgen import sample_family_subsets
+from .model import _is_integer
 from .seeding import derive_seed
 
 EXACT_COST_LIMIT = 10_000_000
@@ -28,7 +29,7 @@ _CHUNK = 1 << 18
 def _size(x) -> int:
     """x as a Python int.  Bools and floats, even integral ones, are
     rejected rather than truncated."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+    if not _is_integer(x):
         raise ValidationError(f"scheme sizes must be integers, got {x!r}")
     return int(x)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from .bpsim import DEFAULT_POP_CAP
 from .coincidence import SamplingScheme
 from .errors import ConfigError, ValidationError
-from .model import ModelParams, Rank1Params, rank1_build
+from .model import ModelParams, Rank1Params, _is_integer, rank1_build
 
 _TOP_KEYS = {
     "model",
@@ -59,11 +59,6 @@ class ExperimentConfig:
     population_cap: int = DEFAULT_POP_CAP
     rank1: Rank1Params | None = None
     raw: dict = field(default_factory=dict, repr=False)
-
-
-def _is_integer(v) -> bool:
-    """A JSON integer: not a bool, float, string or list."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _block(block, name: str, required: tuple, optional: tuple = ()) -> dict:
@@ -165,7 +160,11 @@ def load_config(path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config {path}: {e}") from e
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"parse error in {path} at line {e.lineno}, column {e.colno}: {e.msg}"

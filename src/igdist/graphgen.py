@@ -103,7 +103,7 @@ class BipartiteGraph:
     """Sampled vertex-object adjacency in CSR form, both directions.
 
     Vertices and objects use global 0-based ids, type by type;
-    `vertex_offsets`/`object_offsets` give the per-type split.  Vertex
+    `vertex_offsets` gives the per-type split of the vertices.  Vertex
     v's objects are `vertex_idx[vertex_ptr[v]:vertex_ptr[v+1]]` and
     object o's vertices likewise, each in ascending order.
     """
@@ -113,7 +113,6 @@ class BipartiteGraph:
     object_ptr: np.ndarray = field(repr=False)
     object_idx: np.ndarray = field(repr=False)
     vertex_offsets: np.ndarray = field(repr=False)
-    object_offsets: np.ndarray = field(repr=False)
 
     @classmethod
     def from_edges(cls, n, m, v, o) -> "BipartiteGraph":
@@ -137,7 +136,6 @@ class BipartiteGraph:
             object_ptr=object_ptr,
             object_idx=object_idx,
             vertex_offsets=np.concatenate([[0], np.cumsum(n)]),
-            object_offsets=np.concatenate([[0], np.cumsum(m)]),
         )
 
     @property
@@ -322,6 +320,21 @@ def sample_pair_distance(
     return pair_distance(g, a, b)
 
 
+def distance_jobs(p: ModelParams, k1: int, k2: int, reps: int, seed: int) -> list:
+    """The replicates of `empirical_distance_law` as argument-free jobs:
+    replicate r is `sample_pair_distance` on the substream
+    (seed, "graph", r)."""
+    if reps < 1:
+        raise ValidationError("reps must be >= 1")
+    k1, k2 = _vertex_type(p, k1), _vertex_type(p, k2)
+    return [
+        functools.partial(
+            sample_pair_distance, p, k1, k2, derive_seed(seed, "graph", r)
+        )
+        for r in range(reps)
+    ]
+
+
 def empirical_distance_law(
     p: ModelParams,
     k1: int,
@@ -333,21 +346,11 @@ def empirical_distance_law(
     """Monte Carlo distance law between a type-k1 and a type-k2 vertex.
 
     Each replicate samples a fresh graph and one uniform ordered pair of
-    distinct vertices; replicate r uses the substream (seed, "graph", r),
-    so the histogram is identical for any worker count.
+    distinct vertices, one `distance_jobs` job each, so the histogram is
+    identical for any worker count.
     """
-    if reps < 1:
-        raise ValidationError("reps must be >= 1")
-    k1, k2 = _vertex_type(p, k1), _vertex_type(p, k2)
-    from .runner import parallel_map  # runner imports this module
+    from .runner import _call, parallel_map  # runner imports this module
 
-    replicate = functools.partial(sample_pair_distance, p, k1, k2)
     return DistanceLaw.from_samples(
-        parallel_map(replicate, distance_seeds(seed, reps), workers)
+        parallel_map(_call, distance_jobs(p, k1, k2, reps, seed), workers)
     )
-
-
-def distance_seeds(seed: int, reps: int) -> list[int]:
-    """The replicate seeds of `empirical_distance_law`: replicate r uses
-    the substream (seed, "graph", r)."""
-    return [derive_seed(seed, "graph", r) for r in range(reps)]

@@ -11,7 +11,7 @@ approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,11 +38,16 @@ def _array(values, name: str, dtype, ndim: int) -> np.ndarray:
     return a
 
 
+def _is_integer(x) -> bool:
+    """x is a Python or numpy integer: never a bool, a float (even an
+    integral one), a string or a list."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _vertex_type(p: ModelParams, k) -> int:
-    """k as a 0-based vertex type of p: an integer, never a bool or a
-    float, with 0 <= k < K; anything else raises ValidationError."""
-    is_integer = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-    if not (is_integer and 0 <= k < p.K):
+    """k as a 0-based vertex type of p: an integer with 0 <= k < K;
+    anything else raises ValidationError."""
+    if not (_is_integer(k) and 0 <= k < p.K):
         raise ValidationError(f"invalid vertex type {k!r}")
     return int(k)
 
@@ -164,7 +169,6 @@ class SpectralData:
     u_mn: float
     n_total: int
     m_total: int
-    params: ModelParams = field(repr=False)
 
     def __post_init__(self):
         if self.tau <= 1.0:
@@ -313,7 +317,6 @@ def derived_scalars(p: ModelParams) -> SpectralData:
         u_mn=u_mn,
         n_total=n,
         m_total=m,
-        params=p,
     )
 
 

@@ -27,11 +27,11 @@ from .approx import U_WINDOW, WPools, build_approx_law, compare
 from .bpsim import conditioned_w_pool, ghost_scaling, simulate_batch, survival_prob
 from .coincidence import SamplingScheme, poisson_check
 from .config import ExperimentConfig
-from .errors import ConfigError, ValidationError
-from .graphgen import (
-    DistanceLaw, distance_seeds, empirical_distance_law, sample_pair_distance,
+from .errors import ConfigError
+from .graphgen import DistanceLaw, distance_jobs, empirical_distance_law
+from .model import (
+    _is_integer, derived_scalars, identity_report, mean_matrices, perron, rank1_build,
 )
-from .model import derived_scalars, identity_report, mean_matrices, perron, rank1_build
 from .seeding import derive_seed
 
 def parallel_map(fn, args_list, workers: int):
@@ -237,11 +237,8 @@ def _default_horizon(cfg: ExperimentConfig, spec) -> int:
 def _spectral_payload(spec) -> dict:
     payload = {}
     for f in dataclasses.fields(spec):
-        if f.name != "params":
-            value = getattr(spec, f.name)
-            payload[f.name] = (
-                value.tolist() if isinstance(value, np.ndarray) else value
-            )
+        value = getattr(spec, f.name)
+        payload[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
     return payload
 
 
@@ -281,19 +278,20 @@ def _call(job):
     return job()
 
 
-def _pool_jobs(cfg: ExperimentConfig, w: RunWriter, spec) -> list:
-    """The draws of pools A and B, as argument-free jobs."""
+def _pools(cfg: ExperimentConfig, w: RunWriter, spec, workers: int, *jobs):
+    """Pools A and B of conditioned W draws, and the results of the
+    argument-free `jobs`, from one parallel pass; writes the pools and
+    survival.csv.  The pools are tasks 0 and 1, so the strided shares of
+    parallel_map send them to different processes."""
     horizon = _default_horizon(cfg, spec)
-    return [
+    pool_jobs = [
         functools.partial(
             conditioned_w_pool, cfg.params, spec, k, horizon, cfg.pool_size,
             w.stage_seed(tag), cfg.population_cap,
         )
         for tag, k in (("pool-a", cfg.k1), ("pool-b", cfg.k2))
     ]
-
-
-def _write_pools(cfg: ExperimentConfig, w: RunWriter, spec, pool_a, pool_b) -> WPools:
+    pool_a, pool_b, *results = parallel_map(_call, [*pool_jobs, *jobs], workers)
     w.write_csv("wpool_a.csv", ["value"], [(v,) for v in pool_a])
     w.write_csv("wpool_b.csv", ["value"], [(v,) for v in pool_b])
     surv = _write_survival(cfg, w)
@@ -302,13 +300,8 @@ def _write_pools(cfg: ExperimentConfig, w: RunWriter, spec, pool_a, pool_b) -> W
         pool_b=pool_b,
         surv_a=float(surv[cfg.k1]),
         surv_b=float(surv[cfg.k2]),
-        horizon=_default_horizon(cfg, spec),
-    )
-
-
-def _pools(cfg: ExperimentConfig, w: RunWriter, spec, workers: int) -> WPools:
-    pools = parallel_map(_call, _pool_jobs(cfg, w, spec), workers)
-    return _write_pools(cfg, w, spec, *pools)
+        horizon=horizon,
+    ), results
 
 
 def _trajectory_rows(X, Y) -> list[tuple]:
@@ -397,7 +390,8 @@ def _write_approx_law(w: RunWriter, spec, pools: WPools) -> None:
 
 def _run_approx(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
     spec = derived_scalars(cfg.params)
-    _write_approx_law(w, spec, _pools(cfg, w, spec, workers))
+    pools, _ = _pools(cfg, w, spec, workers)
+    _write_approx_law(w, spec, pools)
 
 
 _COMPARE_HEADER = [
@@ -406,25 +400,11 @@ _COMPARE_HEADER = [
 
 
 def _run_compare(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
-    # compare degrades gracefully on non-supercritical models
-    try:
-        spec = derived_scalars(cfg.params)
-    except ValidationError:
-        spec = None
-    # one parallel pass: the pools first, so that the strided shares of
-    # parallel_map send them to different processes, then the replicates
-    jobs = _pool_jobs(cfg, w, spec) if spec is not None else []
-    n_pools = len(jobs)
-    jobs += [
-        functools.partial(sample_pair_distance, cfg.params, cfg.k1, cfg.k2, s)
-        for s in distance_seeds(w.stage_seed("graph-dist"), cfg.graph_reps)
-    ]
-    results = parallel_map(_call, jobs, workers)
-    law = DistanceLaw.from_samples(results[n_pools:])
-    w.write_csv("distances.csv", ["distance", "count"], law.to_rows())
-    if spec is None:
-        # not supercritical: the branching approximation degenerates to
-        # pure defect mass, so only the infinite-distance row is checkable
+    M_X, _ = mean_matrices(cfg.params)
+    if np.abs(np.linalg.eigvals(M_X)).max() <= 1.0:
+        # rho(M_X) <= 1, no type survives: the approximation is all
+        # defect, so only the infinite-distance row is checkable
+        law = _run_graph_dist(cfg, w, workers)
         surv = _write_survival(cfg, w)
         defect = 1.0 - float(surv[cfg.k1]) * float(surv[cfg.k2])
         emp_inf = law.prob_infinite()
@@ -434,7 +414,13 @@ def _run_compare(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
             [("inf", emp_inf, defect, abs(emp_inf - defect), math.nan)],
         )
         return
-    pools = _write_pools(cfg, w, spec, *results[:n_pools])
+    spec = derived_scalars(cfg.params)
+    jobs = distance_jobs(
+        cfg.params, cfg.k1, cfg.k2, cfg.graph_reps, w.stage_seed("graph-dist")
+    )
+    pools, samples = _pools(cfg, w, spec, workers, *jobs)
+    law = DistanceLaw.from_samples(samples)
+    w.write_csv("distances.csv", ["distance", "count"], law.to_rows())
     _write_approx_law(w, spec, pools)
     table = compare(law, spec, pools)
     w.write_csv(
@@ -527,6 +513,8 @@ def run(
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     workers = cfg.workers if workers is None else workers
+    if not (_is_integer(workers) and workers >= 1):
+        raise ConfigError("workers must be an integer >= 1")
     w = RunWriter(out, cfg, subcommand)
     try:
         PIPELINES[subcommand](cfg, w, workers)

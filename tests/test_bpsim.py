@@ -25,7 +25,7 @@ from igdist.errors import (
     SimulationError,
     ValidationError,
 )
-from igdist.graphgen import sample_family_subsets
+from igdist.graphgen import distance_jobs, sample_family_subsets
 
 BIG_CAP = 10**12
 DENSE = ModelParams(n=[3, 4], m=[5, 2], P=[[0.6, 0.0], [0.3, 0.9]])
@@ -144,9 +144,10 @@ class TestSimulate:
             lambda p, k: extinction_frequency(p, k, 2, 3, seed=1),
             lambda p, k: labeled_growth(p, 0, k, 1, seed=1),
             lambda p, k: empirical_distance_law(p, k, 0, reps=1, seed=1),
+            lambda p, k: distance_jobs(p, 0, k, reps=1, seed=1),
         ],
         ids=["simulate", "simulate_batch", "extinction_frequency",
-             "labeled_growth", "empirical_distance_law"],
+             "labeled_growth", "empirical_distance_law", "distance_jobs"],
     )
     def test_every_run_rejects_a_bad_vertex_type(self, two_by_two, run, bad):
         # one check for every typed start; a negative id would otherwise

@@ -18,7 +18,9 @@ from igdist import (
     survival_prob,
 )
 from igdist.errors import ValidationError
-from igdist.graphgen import BipartiteGraph, _gather, sample_family_subsets
+from igdist.graphgen import (
+    BipartiteGraph, _gather, distance_jobs, sample_family_subsets,
+)
 from igdist.seeding import derive_seed
 
 
@@ -499,6 +501,10 @@ class TestEmpiricalLaw:
     def test_invalid_type_rejected(self, scalar4):
         with pytest.raises(ValidationError, match="invalid vertex type"):
             empirical_distance_law(scalar4, 0, 3, reps=5, seed=1)
+
+    def test_no_replicates_rejected(self, scalar4):
+        with pytest.raises(ValidationError, match="reps must be >= 1"):
+            distance_jobs(scalar4, 0, 0, reps=0, seed=1)
 
     def test_deterministic_and_worker_invariant(self, scalar4):
         a = empirical_distance_law(scalar4, 0, 0, reps=30, seed=11)

@@ -193,6 +193,19 @@ class TestConfig:
             load_config(tmp_path / "nope.json")
 
     @pytest.mark.parametrize(
+        "content", [None, b"\xff\xfe{\x00}\x00"], ids=["directory", "undecodable"]
+    )
+    def test_unreadable_file(self, tmp_path, content):
+        path = tmp_path / "cfg.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match="cannot read config") as info:
+            load_config(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
         "scheme",
         [
             5,
@@ -391,6 +404,27 @@ class TestRun:
         assert float(row[1]) == 1.0 and float(row[2]) == 1.0
         assert float(row[3]) == 0.0
 
+    def test_compare_with_subcritical_model(self, tmp_path):
+        # tau = 1000 * 1000 * 0.0005^2 = 0.25: no type survives, so the
+        # approximation is all defect
+        doc = dict(MINIMAL, model={"n": [1000], "m": [1000], "P": [[0.0005]]})
+        cfg = load_config(write_config(tmp_path, doc))
+        out = run("compare", cfg, out_dir=tmp_path / "out")
+        assert {f.name for f in out.iterdir()} == {
+            "distances.csv", "survival.csv", "compare.csv", "manifest.json",
+        }
+        lines = (out / "compare.csv").read_text().splitlines()
+        assert len(lines) == 2
+        row = lines[1].split(",")
+        assert row[0] == "inf" and float(row[2]) == 1.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_compare_distances_are_graph_dist(self, tmp_path, workers):
+        cfg = load_config(write_config(tmp_path, MINIMAL))
+        a = run("compare", cfg, out_dir=tmp_path / "c", workers=workers)
+        b = run("graph-dist", cfg, out_dir=tmp_path / "g", workers=workers)
+        assert (a / "distances.csv").read_bytes() == (b / "distances.csv").read_bytes()
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = load_config(write_config(tmp_path, MINIMAL))
         out1 = run("compare", cfg, out_dir=tmp_path / "a")
@@ -577,6 +611,31 @@ class TestCli:
             errors.append(capsys.readouterr().err)
         assert "population cap exceeded" in errors[0]
         assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_two(self, tmp_path, capsys, workers):
+        path = write_config(tmp_path, MINIMAL)
+        code = cli_main(
+            ["graph-dist", "--config", str(path), "--out", str(tmp_path / "o"),
+             "--workers", workers]
+        )
+        assert code == 2
+        assert "workers must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_compare_on_reducible_model_exit_two(self, tmp_path, capsys):
+        # two separate supercritical blocks (tau = 4 each): types survive,
+        # but the spectral layer rejects the model
+        doc = dict(MINIMAL, seed=3, k1=1, k2=2, model={
+            "n": [2000, 2000], "m": [2000, 2000], "P": [[0.001, 0.0], [0.0, 0.001]],
+        })
+        path = write_config(tmp_path, doc)
+        code = cli_main(
+            ["compare", "--config", str(path), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "reducible matrix" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_ghosts_obey_population_cap(self, tmp_path, capsys, workers):
