@@ -181,12 +181,6 @@ def _grid_mean(quad_a, quad_b, scale: float) -> float:
     return total
 
 
-def _pair_mean(pool_a, pool_b, scale: float) -> float:
-    """Mean of exp(-a*b*scale) over all pool pairs, to within
-    (1 + Lambda_B) _TOL."""
-    return _grid_mean(_quadrature(pool_a), _quadrature(pool_b), scale)
-
-
 def _power(tau: float, u: float) -> float:
     """tau**u, or inf where it overflows."""
     try:

@@ -22,8 +22,8 @@ from .errors import (
     ValidationError,
 )
 from .graphgen import BipartiteGraph, pair_distance, sample_family_subsets
-from .model import ModelParams, SpectralData, _vertex_type
-from .seeding import derive_seed
+from .model import ModelParams, SpectralData, _roots, _vertex_type
+from .seeding import derive_seed, replicate_blocks
 
 DEFAULT_POP_CAP = 100_000_000
 
@@ -307,7 +307,7 @@ def labeled_growth(
     k1: int,
     k2: int,
     depth: int,
-    seed: int,
+    seed,
     prune_ghosts: bool = False,
     population_cap: int = DEFAULT_POP_CAP,
 ) -> LabeledForest:
@@ -327,11 +327,12 @@ def labeled_growth(
 
     With prune_ghosts=True ghosts get no offspring; the induced edge set
     and distances are unchanged in law, but deep ghost tallies then only
-    count ghosts fathered by kept individuals.
+    count ghosts fathered by kept individuals.  The roots are `_roots`;
+    `seed` may be a numpy Generator.
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
-    k1, k2 = _vertex_type(p, k1), _vertex_type(p, k2)
+    root_a, root_b = _roots(p, k1, k2)
 
     rng = np.random.default_rng(seed)
     # one entry per side: type sizes, global id offsets, P[parent type,
@@ -344,14 +345,12 @@ def labeled_growth(
     ghosts = {s: np.zeros((depth + 1, len(c)), np.int64) for s, c in sizes.items()}
     ends = {s: [np.empty(0, dtype=np.int64)] for s in sizes}
 
-    ix_b = 1 if k1 == k2 else 0
-    root_a, root_b = int(off["X"][k1]), int(off["X"][k2]) + ix_b
     claimed["X"][[root_a, root_b]] = True
     generations = [
         GenerationRecord(
             side="X",
             types=np.asarray([k1, k2], dtype=np.int64),
-            indices=np.asarray([0, ix_b], dtype=np.int64),
+            indices=np.asarray([root_a, root_b]) - off["X"][[k1, k2]],
             classes=np.asarray([1, 1], dtype=np.int8),
             parent_rows=np.asarray([-1, -1], dtype=np.int64),
         )
@@ -418,17 +417,17 @@ def ghost_scaling(
     sqrt(m/n) tau^{2(i-1)} e(m,n)^4.  Non-growing ratios are the
     empirical signature of the uniform ghost-mean bound.
     """
-    from .runner import parallel_map  # runner imports this module
+    from .runner import _call, parallel_map  # runner imports this module
 
-    if reps < 1:
-        raise ValidationError("reps must be >= 1")
+    def ghosts(rng, count):  # the tallies, not the forests, travel back
+        forests = (
+            labeled_growth(p, k1, k2, depth, rng, population_cap=population_cap)
+            for _ in range(count)
+        )
+        return [(f.ghost_x, f.ghost_y) for f in forests]
 
-    def ghosts(s):
-        f = labeled_growth(p, k1, k2, depth, s, population_cap=population_cap)
-        return f.ghost_x, f.ghost_y
-
-    seeds = [derive_seed(seed, "ghost", r) for r in range(reps)]
-    tallies = parallel_map(ghosts, seeds, workers)
+    blocks = replicate_blocks(ghosts, reps, 1, seed, "ghost")
+    tallies = [t for blk in parallel_map(_call, blocks, workers) for t in blk]
     gx = np.mean([t[0] for t in tallies], axis=0)
     gy = np.mean([t[1] for t in tallies], axis=0)
     e4 = spec.e_mn**4

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CapacityError, ValidationError
 from .graphgen import sample_family_subsets
 from .model import _is_integer
-from .seeding import derive_seed
+from .seeding import replicate_blocks
 
 EXACT_COST_LIMIT = 10_000_000
 # Monte Carlo replicates per block times the keys one replicate holds
@@ -197,18 +197,13 @@ def p_no_collision_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of P[S = 0] with its binomial standard error.
 
-    Replicates run in blocks, vectorized across the block: every
-    (replicate, draw) is one family of `sample_family_subsets`, and a
-    replicate collides when one of B's keys is in A's union.
+    Replicates run in `replicate_blocks` of _CHUNK // _footprint(s), each
+    vectorized: every (replicate, draw) is one `sample_family_subsets`
+    family, and a replicate collides when one of B's keys is in A's union.
     """
-    if reps < 1:
-        raise ValidationError("reps must be >= 1")
-    rng = np.random.default_rng(derive_seed(seed, "coincidence"))
-    block = max(1, _CHUNK // max(1, _footprint(s)))
     empty = np.empty(0, dtype=np.int64)
-    hits = 0
-    for lo in range(0, reps, block):
-        n = min(block, reps - lo)
+
+    def no_collisions(rng, n):
         clear = np.ones(n, dtype=bool)
         for l in range(s.L):
             w, w_star = s.w[l], s.excluded[l]
@@ -225,8 +220,11 @@ def p_no_collision_mc(
             hit = at < a_keys.size
             hit[hit] = a_keys[at[hit]] == b_keys[hit]
             clear[b_keys[hit] // w] = False
-        hits += int(np.count_nonzero(clear))
-    est = hits / reps
+        return int(np.count_nonzero(clear))
+
+    block = max(1, _CHUNK // max(1, _footprint(s)))
+    jobs = replicate_blocks(no_collisions, reps, block, seed, "coincidence")
+    est = sum(job() for job in jobs) / reps
     se = math.sqrt(est * (1.0 - est) / reps)
     return est, se
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import ModelParams, _vertex_type
-from .seeding import derive_seed
+from .model import ModelParams, _roots
+from .seeding import replicate_blocks
 
 INF = math.inf
 
@@ -207,14 +207,14 @@ class DistanceLaw:
         return cls(counts, inf_count, sum(counts.values()) + inf_count)
 
 
-def sample_bipartite(p: ModelParams, seed: int) -> BipartiteGraph:
+def sample_bipartite(p: ModelParams, seed) -> BipartiteGraph:
     """Sample the typed bipartite graph with independent (v,u) edges.
 
     Per (vertex class k, object class j) block of n_k * m_j cells, the
     edge count is Binomial(n_k * m_j, p_kj) and the edge set a uniform
     subset of that many cells, one `sample_family_subsets` draw; this
     is equal in law to per-pair Bernoulli trials but linear in the edge
-    count.
+    count.  `seed` may be a numpy Generator, which the draw advances.
     """
     rng = np.random.default_rng(seed)
     v_off = np.concatenate([[0], np.cumsum(p.n)])
@@ -301,38 +301,17 @@ def pair_distance(g: BipartiteGraph, a: int, b: int):
         frontier[s] = verts
 
 
-def sample_pair_distance(
-    p: ModelParams, k1: int, k2: int, seed: int
-):
-    """One replicate: fresh graph, uniform ordered pair of distinct
-    typed vertices, one distance search."""
-    g = sample_bipartite(p, seed)
-    rng = np.random.default_rng(derive_seed(seed, "pair"))
-    off1 = int(g.vertex_offsets[k1])
-    off2 = int(g.vertex_offsets[k2])
-    a = off1 + int(rng.integers(0, int(p.n[k1])))
-    if k1 == k2:
-        b = off2 + int(rng.integers(0, int(p.n[k2]) - 1))
-        if b >= a:
-            b += 1
-    else:
-        b = off2 + int(rng.integers(0, int(p.n[k2])))
-    return pair_distance(g, a, b)
+def _distances(p: ModelParams, a: int, b: int, rng, count: int) -> list:
+    return [pair_distance(sample_bipartite(p, rng), a, b) for _ in range(count)]
 
 
 def distance_jobs(p: ModelParams, k1: int, k2: int, reps: int, seed: int) -> list:
-    """The replicates of `empirical_distance_law` as argument-free jobs:
-    replicate r is `sample_pair_distance` on the substream
-    (seed, "graph", r)."""
-    if reps < 1:
-        raise ValidationError("reps must be >= 1")
-    k1, k2 = _vertex_type(p, k1), _vertex_type(p, k2)
-    return [
-        functools.partial(
-            sample_pair_distance, p, k1, k2, derive_seed(seed, "graph", r)
-        )
-        for r in range(reps)
-    ]
+    """The replicates of `empirical_distance_law`, `replicate_blocks` of
+    one: a fresh graph and the distance between the `_roots`."""
+    a, b = _roots(p, k1, k2)
+    return replicate_blocks(
+        functools.partial(_distances, p, a, b), reps, 1, seed, "graph"
+    )
 
 
 def empirical_distance_law(
@@ -345,12 +324,12 @@ def empirical_distance_law(
 ) -> DistanceLaw:
     """Monte Carlo distance law between a type-k1 and a type-k2 vertex.
 
-    Each replicate samples a fresh graph and one uniform ordered pair of
-    distinct vertices, one `distance_jobs` job each, so the histogram is
+    Each replicate samples a fresh graph and measures two fixed roots,
+    which have the law of a uniform pair of distinct vertices; the
+    `distance_jobs` blocks join in block order, so the histogram is
     identical for any worker count.
     """
     from .runner import _call, parallel_map  # runner imports this module
 
-    return DistanceLaw.from_samples(
-        parallel_map(_call, distance_jobs(p, k1, k2, reps, seed), workers)
-    )
+    blocks = parallel_map(_call, distance_jobs(p, k1, k2, reps, seed), workers)
+    return DistanceLaw.from_samples([d for blk in blocks for d in blk])

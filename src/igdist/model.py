@@ -52,6 +52,13 @@ def _vertex_type(p: ModelParams, k) -> int:
     return int(k)
 
 
+def _roots(p: ModelParams, k1, k2) -> tuple[int, int]:
+    """Global ids of the roots of a k1-k2 distance: index 0 of each type,
+    index 1 for the second when k1 == k2; exchangeable, so a uniform pair."""
+    k1, k2 = _vertex_type(p, k1), _vertex_type(p, k2)
+    return int(p.n[:k1].sum()), int(p.n[:k2].sum()) + (k1 == k2)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Vertex counts, object counts, and the edge-probability matrix.

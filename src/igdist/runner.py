@@ -418,8 +418,8 @@ def _run_compare(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
     jobs = distance_jobs(
         cfg.params, cfg.k1, cfg.k2, cfg.graph_reps, w.stage_seed("graph-dist")
     )
-    pools, samples = _pools(cfg, w, spec, workers, *jobs)
-    law = DistanceLaw.from_samples(samples)
+    pools, blocks = _pools(cfg, w, spec, workers, *jobs)
+    law = DistanceLaw.from_samples([d for blk in blocks for d in blk])
     w.write_csv("distances.csv", ["distance", "count"], law.to_rows())
     _write_approx_law(w, spec, pools)
     table = compare(law, spec, pools)

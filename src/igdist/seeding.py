@@ -1,12 +1,19 @@
 """Deterministic seed derivation for parallel Monte Carlo stages.
 
-Every randomized stage owns a substream addressed by (master seed,
-stage tag, replicate index).  Derivation is stateless and bit-exact
-across platforms, so results never depend on scheduling or worker
-count.
+Every randomized stage owns substreams addressed by (master seed, stage
+tag, block index), derived statelessly and bit-exactly on any platform.
+`replicate_blocks` alone indexes them: iid replicates run in blocks of a
+size fixed by the stage, block b on (seed, tag, b), so results never
+depend on worker count.  A one-stream stage is block 0, (seed, tag).
 """
 
 from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+from .errors import ValidationError
 
 _MASK = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -37,3 +44,18 @@ def derive_seed(master: int, tag: str, replicate: int = 0) -> int:
     z = _splitmix64(z ^ (replicate & _MASK))
     return z
 
+
+def _run_block(fn, seed: int, tag: str, block: int, count: int):
+    return fn(np.random.default_rng(derive_seed(seed, tag, block)), count)
+
+
+def replicate_blocks(fn, reps: int, block: int, seed: int, tag: str) -> list:
+    """`reps` replicates as argument-free jobs: job b returns fn(rng, count)
+    for its count <= block replicates, rng on the substream (seed, tag, b).
+    Join the jobs' results in job order."""
+    if reps < 1:
+        raise ValidationError("reps must be >= 1")
+    return [
+        functools.partial(_run_block, fn, seed, tag, b, min(block, reps - lo))
+        for b, lo in enumerate(range(0, reps, block))
+    ]

@@ -26,13 +26,19 @@ from igdist import approx
 from igdist.approx import (
     _BLOCK,
     _chebyshev_degree,
-    _pair_mean,
+    _grid_mean,
     _quadrature,
     theta_tilde,
 )
 from igdist.errors import ValidationError
 
 POINT_MASS = WPools(pool_a=[1.0], pool_b=[1.0], surv_a=1.0, surv_b=1.0, horizon=12)
+
+
+def _pair_mean(pool_a, pool_b, scale):
+    """Mean of exp(-a*b*scale) over all pool pairs, through both pools'
+    quadratures as `exceed_prob` takes it: within (1 + Lambda_B) _TOL."""
+    return _grid_mean(_quadrature(pool_a), _quadrature(pool_b), scale)
 
 
 def dense_pair_mean(pool_a, pool_b, scale):

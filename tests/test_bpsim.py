@@ -461,6 +461,24 @@ class TestGhostScaling:
         with pytest.raises(ValidationError, match="reps must be >= 1"):
             ghost_scaling(scalar4, scalar4_spec, 3, 0, seed=1)
 
+    def test_rows_pinned(self, scalar4, scalar4_spec):
+        # values of the per-replicate ghost streams (seed, "ghost", r),
+        # recorded before replicate_blocks ran them; one worker or two
+        want = [
+            (1, 0.05, 0.0, 0.19531249999999997, 0.0),
+            (2, 2.45, 0.45, 0.5981445312499999, 1.7578124999999996),
+            (3, 35.75, 10.0, 0.5455017089843749, 2.4414062499999996),
+        ]
+        for workers in (1, 2):
+            rows = ghost_scaling(
+                scalar4, scalar4_spec, depth=3, reps=20, seed=9, workers=workers
+            )
+            got = [
+                (r["i"], r["ghostX_mean"], r["ghostY_mean"], r["ratioX"], r["ratioY"])
+                for r in rows
+            ]
+            assert got == want
+
     def test_zero_probability_no_ghosts(self, scalar4_spec):
         p = ModelParams(n=[10], m=[10], P=[[0.0]])
         rows = ghost_scaling(p, scalar4_spec, 3, 50, seed=1)

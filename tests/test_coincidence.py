@@ -183,6 +183,30 @@ class TestMC:
             s, 1000, seed=4
         )
 
+    @pytest.mark.parametrize(
+        "scheme, reps, want",
+        [
+            (([10], [[2]], [[3]], [0]), 5000, (0.4692, 0.007057639265363454)),
+            (([6], [[2, 1]], [[2]], [1]), 5000, (0.3718, 0.0068346874105550725)),
+            # exactly one block of 13 replicates
+            (
+                ([20000], [[15000]], [[1]], [0]), 13,
+                (0.46153846153846156, 0.13826415911891032),
+            ),
+        ],
+    )
+    def test_one_block_pinned(self, scheme, reps, want):
+        # values recorded before the blocks ran through replicate_blocks:
+        # a run of at most one block draws from (seed, "coincidence")
+        s = SamplingScheme(*scheme)
+        assert reps <= max(1, _CHUNK // _footprint(s))
+        assert p_no_collision_mc(s, reps, seed=12) == want
+
+    def test_no_replicates_rejected(self):
+        s = SamplingScheme(w=[10], draws_a=[[2]], draws_b=[[3]])
+        with pytest.raises(ValidationError, match="reps must be >= 1"):
+            p_no_collision_mc(s, 0, seed=1)
+
     def test_complement_heavy_memory_bounded(self):
         # both draws take their complement, so a replicate holds two
         # w-long masks: 6 replicates per block, 34 blocks

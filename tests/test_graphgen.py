@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -21,6 +22,7 @@ from igdist.errors import ValidationError
 from igdist.graphgen import (
     BipartiteGraph, _gather, distance_jobs, sample_family_subsets,
 )
+from igdist.model import _roots
 from igdist.seeding import derive_seed
 
 
@@ -460,9 +462,9 @@ class TestMeetInTheMiddle:
         code = (
             "import math, sys\n"
             "from igdist import ModelParams\n"
-            "from igdist.graphgen import sample_pair_distance\n"
+            "from igdist.graphgen import distance_jobs\n"
             "p = ModelParams(n=[10**4], m=[10**4], P=[[math.sqrt(2.0) * 1e-4]])\n"
-            "sample_pair_distance(p, 0, 0, 1)\n"
+            "distance_jobs(p, 0, 0, 1, 1)[0]()\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         src = str(Path(igdist.__file__).resolve().parents[1])
@@ -520,6 +522,151 @@ class TestEmpiricalLaw:
         law = empirical_distance_law(p, 0, 0, reps=600, seed=17)
         s = survival_prob(p)[0]
         assert abs(law.prob_infinite() - (1.0 - s * s)) <= 0.05
+
+
+def _exact_distance_law(n: int, m: int, p: float) -> dict:
+    """P(D = d) for d = 1, 2, ... and P(D = inf) between two distinct
+    vertices of the K = J = 1 model: the forward recursion of the
+    meet-in-the-middle exploration on counts, with state (Uv, Uo, F0,
+    F1, r0, r1), unreached vertices and objects, the two vertex
+    frontiers and the two radii, from (n - 2, m, 1, 1, 0, 0).  A step
+    expands the smaller frontier F (side 0 on ties) against the other
+    frontier G: Bin(Uo, 1 - q^F) new objects; the searches meet with
+    probability 1 - q^(G newo), giving d = r0 + r1 + 1; otherwise
+    Bin(Uv, 1 - q^newo) new vertices form side's frontier, and none
+    means d = inf.  Each unrevealed (vertex, object) pair is drawn
+    exactly once, so the law is exact."""
+    q = 1.0 - p
+
+    @functools.cache
+    def pmf(N: int, c: int) -> tuple:  # Bin(N, 1 - q^c)
+        x = 1.0 - q**c
+        return tuple(
+            math.comb(N, k) * x**k * (1.0 - x) ** (N - k) for k in range(N + 1)
+        )
+
+    law: dict = {}
+    states = {(n - 2, m, 1, 1, 0, 0): 1.0}
+    while states:
+        nxt: dict = {}
+        for (uv, uo, f0, f1, r0, r1), w in states.items():
+            side = 0 if f0 <= f1 else 1
+            F, G = (f0, f1) if side == 0 else (f1, f0)
+            for newo, po in enumerate(pmf(uo, F)):
+                if not po:
+                    continue
+                meet = 1.0 - q ** (G * newo)
+                law[r0 + r1 + 1] = law.get(r0 + r1 + 1, 0.0) + w * po * meet
+                miss = w * po * (1.0 - meet)
+                for newv, pv in enumerate(pmf(uv, newo)):
+                    if not newv:
+                        law[math.inf] = law.get(math.inf, 0.0) + miss * pv
+                        continue
+                    key = (
+                        (uv - newv, uo - newo, newv, f1, r0 + 1, r1) if side == 0
+                        else (uv - newv, uo - newo, f0, newv, r0, r1 + 1)
+                    )
+                    nxt[key] = nxt.get(key, 0.0) + miss * pv
+        states = nxt
+    return law
+
+
+class TestExactSmallN:
+    """distance_jobs against the exact law of the count recursion at
+    n = m = 12, p = sqrt(2)/12.  Replicates, seed and p-value floor were
+    fixed before the first run; at 12000 replicates the test has power
+    0.93 (noncentral chi^2, lambda = 33) against a sampler with p 3%
+    too high."""
+
+    n = 12
+    p = math.sqrt(2.0) / 12
+
+    def test_total_mass(self):
+        law = _exact_distance_law(self.n, self.n, self.p)
+        assert abs(sum(law.values()) - 1.0) <= 1e-13
+        assert min(law) == 1
+
+    def test_two_vertices_one_object(self):
+        # n = m = 2: d = 1 iff one object holds both, else inf
+        p = 0.3
+        law = _exact_distance_law(2, 2, p)
+        assert law[1] == pytest.approx(1.0 - (1.0 - p * p) ** 2, rel=1e-14)
+        assert set(law) == {1, math.inf}
+
+    def test_distance_jobs_chi2(self):
+        from scipy import stats
+
+        reps, seed = 12_000, 2026
+        model = ModelParams(n=[self.n], m=[self.n], P=[[self.p]])
+        law = DistanceLaw.from_samples(
+            [d for job in distance_jobs(model, 0, 0, reps, seed) for d in job()]
+        )
+        exact = _exact_distance_law(self.n, self.n, self.p)
+        # finite cells with expected count >= 5, the rarer finite tail
+        # lumped into one cell, and inf
+        finite = sorted(d for d in exact if d != math.inf)
+        keep = [d for d in finite if reps * exact[d] >= 5]
+        tail = [d for d in finite if d not in keep]
+        expected = [exact[d] for d in keep] + [sum(exact[d] for d in tail)]
+        observed = [law.counts.get(d, 0) for d in keep]
+        observed.append(sum(law.counts.get(d, 0) for d in tail))
+        expected.append(exact[math.inf])
+        observed.append(law.infinite_count)
+        assert sum(observed) == reps
+        res = stats.chisquare(observed, reps * np.asarray(expected))
+        assert res.pvalue > 1e-3, (observed, expected)
+
+
+def _uniform_pair_distance(p: ModelParams, k1: int, k2: int, seed: int):
+    """The uniform-pair replicate that fixed roots replaced: a fresh graph
+    and a uniform ordered pair of distinct typed vertices drawn from a
+    second generator on the substream (seed, "pair")."""
+    g = sample_bipartite(p, seed)
+    rng = np.random.default_rng(derive_seed(seed, "pair"))
+    off1 = int(g.vertex_offsets[k1])
+    off2 = int(g.vertex_offsets[k2])
+    a = off1 + int(rng.integers(0, int(p.n[k1])))
+    if k1 == k2:
+        b = off2 + int(rng.integers(0, int(p.n[k2]) - 1))
+        if b >= a:
+            b += 1
+    else:
+        b = off2 + int(rng.integers(0, int(p.n[k2])))
+    return pair_distance(g, a, b)
+
+
+class TestFixedRoots:
+    def test_roots(self, two_by_two):
+        # index 0 of each type, index 1 of the type when k1 == k2
+        assert _roots(two_by_two, 0, 1) == (0, 300)
+        assert _roots(two_by_two, 1, 1) == (300, 301)
+        assert _roots(two_by_two, 0, 0) == (0, 1)
+        with pytest.raises(ValidationError, match="invalid vertex type"):
+            _roots(two_by_two, 0, 2)
+
+    @pytest.mark.parametrize("k1, k2", [(0, 1), (1, 1)])
+    def test_equal_in_law_to_a_uniform_pair(self, two_by_two, k1, k2):
+        # vertices of one type are exchangeable, so fixed roots have the
+        # law of a uniform pair.  2000 replicates each, on separate
+        # seeds: TV over the union of the distance cells, inf included,
+        # at most 0.07, and P(inf) within 4 two-sample SE.  Replicates,
+        # seeds and bounds were fixed before the first run.
+        reps = 2000
+        jobs = distance_jobs(two_by_two, k1, k2, reps, 2031)
+        fixed = DistanceLaw.from_samples([d for job in jobs for d in job()])
+        uniform = DistanceLaw.from_samples([
+            _uniform_pair_distance(
+                two_by_two, k1, k2, derive_seed(2032, "pair-oracle", r)
+            )
+            for r in range(reps)
+        ])
+        cf, cu = fixed.counts, uniform.counts
+        diff = sum(abs(cf.get(d, 0) - cu.get(d, 0)) for d in set(cf) | set(cu))
+        diff += abs(fixed.infinite_count - uniform.infinite_count)
+        assert 0.5 * diff / reps <= 0.07
+        a, b = fixed.prob_infinite(), uniform.prob_infinite()
+        se = math.sqrt((a * (1 - a) + b * (1 - b)) / reps)
+        assert abs(a - b) <= 4 * se
 
 
 class TestDistanceLaw:

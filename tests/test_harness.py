@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import functools
 import hashlib
@@ -8,15 +9,18 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import igdist
 from igdist import derive_seed, load_config, runner
 from igdist.cli import main as cli_main
 from igdist.bpsim import labeled_growth
 from igdist.config import config_from_dict
-from igdist.errors import ConfigError, PopulationCapError
+from igdist.errors import ConfigError, PopulationCapError, ValidationError
 from igdist.model import derived_scalars
 from igdist.runner import RunWriter, _default_horizon, parallel_map, run
+from igdist.seeding import replicate_blocks
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_seeds.json").read_text())
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -56,6 +60,56 @@ class TestDeriveSeed:
     def test_negative_replicate_rejected(self):
         with pytest.raises(ValueError):
             derive_seed(0, "graph", -1)
+
+
+class TestReplicateBlocks:
+    @staticmethod
+    def _draws(rng, count):
+        return count, rng.integers(0, 2**62, size=count).tolist()
+
+    def test_block_sizes(self):
+        cases = [(23, 5, [5, 5, 5, 5, 3]), (5, 5, [5]), (3, 1, [1, 1, 1])]
+        for reps, block, sizes in cases:
+            jobs = replicate_blocks(self._draws, reps, block, seed=7, tag="t")
+            assert [job()[0] for job in jobs] == sizes
+
+    def test_block_streams(self):
+        # job b draws from the substream (seed, tag, b); block 0 is the
+        # stage's one-stream seed derive_seed(seed, tag)
+        jobs = replicate_blocks(self._draws, 12, 4, seed=7, tag="t")
+        for b, job in enumerate(jobs):
+            rng = np.random.default_rng(derive_seed(7, "t", b))
+            assert job()[1] == rng.integers(0, 2**62, size=4).tolist()
+        assert derive_seed(7, "t", 0) == derive_seed(7, "t")
+
+    def test_no_replicates_rejected(self):
+        with pytest.raises(ValidationError, match="reps must be >= 1"):
+            replicate_blocks(self._draws, 0, 4, seed=1, tag="t")
+
+    def test_only_seeding_passes_a_replicate_index(self):
+        # replicate_blocks owns the rule that addresses a substream by
+        # index; every other derive_seed call in the package passes
+        # (master, tag) alone
+        src = Path(igdist.__file__).parent
+        offenders = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "seeding.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name != "derive_seed":
+                    continue
+                if (
+                    len(node.args) > 2
+                    or any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg in ("replicate", None) for k in node.keywords)
+                ):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert not offenders
+        assert len(list(src.glob("*.py"))) > 5  # the glob found the package
 
 
 class TestConfig:
