@@ -95,50 +95,38 @@ def _check_cap(count: int, cap: int, generation: int) -> None:
         raise PopulationCapError(generation, count, cap)
 
 
-def _generation(rng, P: list, m: list, n: list, x: list) -> tuple[list, list]:
-    """One aggregated vertex -> object -> vertex generation.
+def _generation(rng, p: ModelParams, x: list) -> tuple[list, list]:
+    """One aggregated vertex -> object -> vertex generation of a batch.
 
-    P, m and n are the model's arrays as Python lists.  x holds one
-    count per vertex type: a Python int for a lone replicate, which
-    keeps every binomial on numpy's scalar path, or an int64 array over
-    replicates for a batch.  Returns (y, x') in the same form.  Object
-    blocks draw in (k, j) order and vertex blocks in (j, k) order,
-    skipping p_kj = 0; a zero parent count consumes no randomness, so
-    the stream does not depend on which replicates live.
+    x holds one int64 array over replicates per vertex type; returns
+    (y, x') in the same form.  The blocks draw in the order of
+    `p.offspring_blocks`; a zero parent count consumes no randomness,
+    so the stream does not depend on which replicates live.
     """
-    zero = 0 * x[0]
-    y = [zero] * len(m)
-    for k, row in enumerate(P):
-        for j, pkj in enumerate(row):
-            if pkj > 0.0:
-                y[j] = y[j] + rng.binomial(m[j] * x[k], pkj)
-    x = [zero] * len(n)
-    for j, col in enumerate(zip(*P)):
-        for k, pkj in enumerate(col):
-            if pkj > 0.0:
-                x[k] = x[k] + rng.binomial(n[k] * y[j], pkj)
+    objects, vertices = p.offspring_blocks
+    zero = np.zeros_like(x[0])
+    y = [zero] * p.J
+    for k, j, m_j, pkj in objects:
+        y[j] = y[j] + rng.binomial(m_j * x[k], pkj)
+    x = [zero] * p.K
+    for j, k, n_k, pkj in vertices:
+        x[k] = x[k] + rng.binomial(n_k * y[j], pkj)
     return y, x
 
 
-def _largest(total) -> int:
-    """Largest replicate total of an int (one replicate) or an array."""
-    return total if isinstance(total, int) else int(total.max())
-
-
 def _grow(rng, p: ModelParams, x: list, X: np.ndarray, Y: np.ndarray, cap: int):
-    """Fill X[..., i, :] and Y[..., i - 1, :] for i = 1, 2, ... from the
+    """Fill X[:, i, :] and Y[:, i - 1, :] for i = 1, 2, ... from the
     generation-0 state x, checking the cap on both sides; rows after
     every replicate has died out stay zero."""
-    P, m, n = p.P.tolist(), p.m.tolist(), p.n.tolist()
-    for i in range(1, X.shape[-2]):
-        y, x = _generation(rng, P, m, n, x)
-        _check_cap(_largest(sum(y)), cap, i)
-        largest = _largest(sum(x))
+    for i in range(1, X.shape[1]):
+        y, x = _generation(rng, p, x)
+        _check_cap(int(sum(y).max()), cap, i)
+        largest = int(sum(x).max())
         _check_cap(largest, cap, i)
         for j, c in enumerate(y):
-            Y[..., i - 1, j] = c
+            Y[:, i - 1, j] = c
         for k, c in enumerate(x):
-            X[..., i, k] = c
+            X[:, i, k] = c
         if largest == 0:
             return
 
@@ -151,20 +139,14 @@ def simulate(
     population_cap: int = DEFAULT_POP_CAP,
 ) -> Trajectory:
     """Run the aggregated process for `generations` vertex generations
-    from one vertex of the 0-based type `start`.
+    from one vertex of the 0-based type `start`: row 0 of a
+    `simulate_batch` of one.
 
     Deterministic given the seed; `seed` is an int or a numpy Generator,
     which the run advances.
     """
-    if generations < 0:
-        raise ValidationError("generations must be >= 0")
-    k = _vertex_type(p, start)
-    X = np.zeros((generations + 1, p.K), dtype=np.int64)
-    Y = np.zeros((generations, p.J), dtype=np.int64)
-    X[0, k] = 1
-    x = [int(i == k) for i in range(p.K)]
-    _grow(np.random.default_rng(seed), p, x, X, Y, population_cap)
-    return Trajectory(X=X, Y=Y)
+    X, Y = simulate_batch(p, start, generations, 1, seed, population_cap)
+    return Trajectory(X=X[0], Y=Y[0])
 
 
 def simulate_batch(
@@ -172,7 +154,7 @@ def simulate_batch(
     start,
     generations: int,
     reps: int,
-    seed: int,
+    seed: int | np.random.Generator,
     population_cap: int = DEFAULT_POP_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Many independent runs at once from one vertex of the 0-based type
@@ -207,11 +189,34 @@ def w_sample(
     """One draw of the truncated martingale tau^-I * nu @ X(I) from a
     single type-k vertex; it is positive exactly when the run survives,
     since nu is strictly positive.  `seed` is an int or a numpy
-    Generator, which the draw advances."""
+    Generator, which the draw advances.
+
+    The one lone run of the process: counts stay Python ints, so every
+    binomial takes numpy's scalar path, and a block whose parent count
+    is 0 is skipped, which draws what `simulate` draws.  The cap is
+    checked on the object side, then on the vertex side, of each
+    generation.
+    """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
-    traj = simulate(p, start_type, horizon, seed, population_cap)
-    return float(spec.nu @ traj.X[-1]) * spec.tau**-horizon
+    x = [0] * p.K
+    x[_vertex_type(p, start_type)] = 1
+    rng = np.random.default_rng(seed)
+    objects, vertices = p.offspring_blocks
+    for i in range(1, horizon + 1):
+        y = [0] * p.J
+        for k, j, m_j, pkj in objects:
+            if x[k]:
+                y[j] += rng.binomial(m_j * x[k], pkj)
+        _check_cap(sum(y), population_cap, i)
+        x = [0] * p.K
+        for j, k, n_k, pkj in vertices:
+            if y[j]:
+                x[k] += rng.binomial(n_k * y[j], pkj)
+        _check_cap(sum(x), population_cap, i)
+        if not any(x):
+            return 0.0
+    return float(spec.nu @ np.array(x, dtype=np.int64)) * spec.tau**-horizon
 
 
 def survival_prob(p: ModelParams, tol: float = 1e-12, max_iter: int = 1_000_000):
@@ -255,11 +260,10 @@ def extinction_frequency(
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     rng = np.random.default_rng(derive_seed(seed, "extinction"))
-    P, m, n = p.P.tolist(), p.m.tolist(), p.n.tolist()
     x = [np.full(reps, int(i == k), dtype=np.int64) for i in range(p.K)]
     extinct = 0
     for _ in range(horizon):
-        _, x = _generation(rng, P, m, n, x)
+        _, x = _generation(rng, p, x)
         total = sum(x)
         extinct += int(np.count_nonzero(total == 0))
         live = (total > 0) & (total <= _SURVIVING_POPULATION)

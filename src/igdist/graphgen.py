@@ -89,10 +89,16 @@ class _Rows:
 
 
 def _csr(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int):
-    """CSR arrays of the pairs (rows[i], cols[i]), each row ascending."""
+    """CSR arrays of the pairs (rows[i], cols[i]), each row ascending.
+    Pairs already in (row, col) order, as the vertex side of a one-block
+    `sample_bipartite` graph is, skip the sort."""
     ptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=ptr[1:])
-    idx = np.sort(rows * n_cols + cols) % n_cols
+    keys = rows * n_cols + cols
+    if (keys[1:] >= keys[:-1]).all():
+        idx = cols.copy()  # cols may be the caller's array
+    else:
+        idx = np.sort(keys) % n_cols
     ptr.flags.writeable = False
     idx.flags.writeable = False
     return ptr, idx

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,6 +117,27 @@ class ModelParams:
     @property
     def m_total(self) -> int:
         return int(self.m.sum())
+
+    @cached_property
+    def offspring_blocks(self) -> tuple[tuple, tuple]:
+        """The nonzero offspring blocks of one generation in stream
+        order, as Python numbers: the object step's (k, j, m_j, p_kj) in
+        (k, j) order, then the vertex step's (j, k, n_k, p_kj) in (j, k)
+        order.  Built once per model; a pickled copy rebuilds it."""
+        P, m, n = self.P.tolist(), self.m.tolist(), self.n.tolist()
+        objects = tuple(
+            (k, j, m[j], pkj)
+            for k, row in enumerate(P)
+            for j, pkj in enumerate(row)
+            if pkj > 0.0
+        )
+        vertices = tuple(
+            (j, k, n[k], pkj)
+            for j, col in enumerate(zip(*P))
+            for k, pkj in enumerate(col)
+            if pkj > 0.0
+        )
+        return objects, vertices
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import pickle
+import types
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from igdist import (
     survival_prob,
     w_sample,
 )
+from igdist import bpsim
 from igdist.bpsim import simulate_batch
 from igdist.errors import (
     ConvergenceError,
@@ -106,14 +108,56 @@ class TestSimulate:
         ids=["scalar4", "two_by_two", "zero_row"],
     )
     def test_lone_replicate_matches_batch_of_one(self, request, model, start):
-        # the scalar and the array binomial paths must draw the same
-        # stream; zero_row's type-0 objects draw type-1 vertices, whose
-        # zero P row skips every p_kj = 0 block
-        p = request.getfixturevalue(model) if isinstance(model, str) else model
-        for seed in range(20):
-            t = simulate(p, start, 8, seed, population_cap=BIG_CAP)
-            X, Y = simulate_batch(p, start, 8, 1, seed, population_cap=BIG_CAP)
-            assert (t.X == X[0]).all() and (t.Y == Y[0]).all()
+        # the lone run of `w_sample` on Python ints and the array path of
+        # `simulate_batch` must draw the same stream and leave the
+        # generator in the same state; zero_row's type-0 objects draw
+        # type-1 vertices, whose zero P row skips every p_kj = 0 block.
+        # w_sample reads only nu and tau, so zero_row, which has no
+        # spectrum, gets positive stand-ins.
+        if isinstance(model, str):
+            p, spec = (request.getfixturevalue(f) for f in (model, f"{model}_spec"))
+        else:
+            p, spec = model, types.SimpleNamespace(nu=np.array([0.7, 1.3]), tau=1.5)
+        for horizon in (1, 8, 10):
+            for seed in range(20):
+                lone, batch = np.random.default_rng(seed), np.random.default_rng(seed)
+                w = w_sample(p, spec, start, horizon, lone, population_cap=BIG_CAP)
+                X, _ = simulate_batch(p, start, horizon, 1, batch, population_cap=BIG_CAP)
+                assert w == float(spec.nu @ X[0, -1]) * spec.tau**-horizon
+                assert lone.bit_generator.state == batch.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "side, model",
+        [
+            ("objects", ModelParams(n=[50], m=[20_000], P=[[0.1]])),
+            ("vertices", ModelParams(n=[20_000], m=[50], P=[[0.1]])),
+        ],
+    )
+    def test_lone_and_batch_hit_the_cap_alike(self, side, model):
+        # the cap trips at generation 2 on the named side: on objects,
+        # each vertex has ~2000 objects, and on vertices, each object
+        # has ~2000 vertices.  Both runs name the same generation and
+        # count, and an uncapped run on the same seed shows the side.
+        spec = derived_scalars(model)
+        cap = 100_000
+        for seed in range(5):
+            errors = []
+            for run in (
+                lambda: w_sample(model, spec, 0, 6, seed, population_cap=cap),
+                lambda: simulate(model, 0, 6, seed, population_cap=cap),
+            ):
+                with pytest.raises(PopulationCapError) as exc:
+                    run()
+                errors.append((exc.value.generation, exc.value.count))
+            assert errors[0] == errors[1]
+            generation, count = errors[0]
+            assert generation == 2
+            t = simulate(model, 0, generation, seed, population_cap=BIG_CAP)
+            y, x = int(t.Y[-1].sum()), int(t.X[-1].sum())
+            if side == "objects":
+                assert count == y > cap
+            else:
+                assert y <= cap < x == count
 
     def test_population_cap_names_generation(self):
         p = ModelParams(n=[1000], m=[1000], P=[[0.02]])  # tau = 400
@@ -291,6 +335,48 @@ class TestConditionedPool:
             if w > 0.0:
                 oracle.append(w)
         assert stats.ks_2samp(pool, oracle).pvalue > 1e-3
+
+    def test_pools_bytes_pinned(self, scalar2, scalar2_spec, two_by_two, two_by_two_spec):
+        # sha256 of the pools' bytes, recorded before `w_sample` ran the
+        # lone replicate on its own
+        want = {
+            (1, None): "b4de3db729708588d79a27b9bf3cb5668a7714a3f01ee1245d6216a79e84dff7",
+            (2, None): "98a8e505624cc7ce368a35cdcd82091a181560bd1830201c1f97ed1350602314",
+            (3, None): "65337e191dce469b04a74b133406d1cc6a25ea6b2e4fd99cce30b6563abd9590",
+            (1, 0): "123f97a44103a460818a31fda0f78380a3071f06bd63a31061da82c5479c464b",
+            (1, 1): "d09af4f5a27860ac13098f36ff1a2b44a49f13e106ff6e5b47443cfc3540d3d4",
+            (2, 0): "09f934c1b845c518d92aff030f97861e69a916bdcf673ff0a9633c5104c33e22",
+            (2, 1): "febb5711e843518ae261352d0703716e3fd62ece5edf225bd5097f65e91c7d74",
+            (3, 0): "0c6e8243e9021e192f605255632e611ff1cd750554071a06ab91226a47053409",
+            (3, 1): "6ef580b8647990ce148bd92866ff9e7582743a810a46f9635ed6e801db90215d",
+        }
+        for (seed, start), hexdigest in want.items():
+            if start is None:  # scalar2 at the headline horizon
+                pool = conditioned_w_pool(scalar2, scalar2_spec, 0, 14, 120, seed)
+            else:
+                pool = conditioned_w_pool(
+                    two_by_two, two_by_two_spec, start, 8, 120, seed,
+                    population_cap=BIG_CAP,
+                )
+            assert hashlib.sha256(pool.tobytes()).hexdigest() == hexdigest
+
+    def test_every_attempt_is_one_w_sample_call(
+        self, monkeypatch, scalar2, scalar2_spec
+    ):
+        # a traced benchmark counts pool attempts as `w_sample` calls
+        # made inside `conditioned_w_pool`
+        want = conditioned_w_pool(scalar2, scalar2_spec, 0, 10, 60, seed=4)
+        draws = []
+
+        def counted(*args, **kwargs):
+            draws.append(w_sample(*args, **kwargs))
+            return draws[-1]
+
+        monkeypatch.setattr(bpsim, "w_sample", counted)
+        pool = conditioned_w_pool(scalar2, scalar2_spec, 0, 10, 60, seed=4)
+        assert pool.tobytes() == want.tobytes()
+        assert len(draws) > len(pool) and draws[-1] > 0.0
+        assert [w for w in draws if w > 0.0] == pool.tolist()
 
     def test_survival_too_rare(self, scalar4_spec):
         p = ModelParams(n=[10], m=[10], P=[[0.0]])

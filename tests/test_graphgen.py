@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -222,6 +223,58 @@ class TestSampling:
     def test_subset_sampler_rejects_oversized_family(self):
         with pytest.raises(ValidationError, match="larger than its universe"):
             sample_family_subsets(np.random.default_rng(0), [2, 6], 5)
+
+    def test_csr_bytes_pinned(self, scalar2, two_by_two):
+        # sha256 of the CSR arrays, recorded before `_csr` learned to
+        # skip the sort of pairs already in order; scalar2's vertex side
+        # takes that path, two_by_two's blocks and every object side sort
+        def digest(g):
+            h = hashlib.sha256()
+            for a in (g.vertex_ptr, g.vertex_idx, g.object_ptr, g.object_idx):
+                h.update(a.tobytes())
+            return h
+        want = {
+            ("scalar2", 1): "47e03b8a216a00068618243b2982a1edcace72842a7c9003956a35f2af43a30f",
+            ("scalar2", 2): "a466418ce4d4d8385b5ca60c9db6f699de95f7ca0f79d4d6684cc6e42d2accaa",
+            ("scalar2", 3): "672aff0d48230a44d35fd091854becf12b7bf55d5bba6358fa5dda7c8afeba04",
+            ("two_by_two", 1): "9554affeca98e52274aad0aacda108784ab1e746c3108b65f836fa8953d65708",
+            ("two_by_two", 2): "67c32b7bdfcccc251f30d0d7b8ed651251f85b2c6142a9fa65c72f73a5c6786a",
+            ("two_by_two", 3): "41dfec3124499064a79ef056f1e0a5bb5656abfa19915b9541208e0072b0c441",
+        }
+        models = {"scalar2": scalar2, "two_by_two": two_by_two}
+        for (name, seed), hexdigest in want.items():
+            g = sample_bipartite(models[name], seed)
+            h = digest(g)
+            h.update(g.vertex_offsets.tobytes())
+            assert h.hexdigest() == hexdigest
+        rng = np.random.default_rng(5)
+        for hexdigest in (
+            "dc5948d255d57fbe00b0e470730bca3ff1eec8480c6c96336554ece8fbb2e8b2",
+            "7446a71405a29d8111579410591967622dea4baf032accab4a90b3d2f8ede931",
+            "208255a366caa5fe8c6a8c7487d13f3c05e78c6051235d48d0fb5f0a2a7bf719",
+        ):
+            v, o = rng.integers(0, 700, 5000), rng.integers(0, 800, 5000)
+            cells = np.unique(v * 800 + o)
+            rng.shuffle(cells)
+            g = BipartiteGraph.from_edges([300, 400], [350, 450], cells // 800, cells % 800)
+            assert digest(g).hexdigest() == hexdigest
+
+    def test_from_edges_in_order_equals_shuffled(self):
+        # pairs already in (vertex, object) order skip the sort; the
+        # graph is the one the shuffled pairs give, and the caller's
+        # arrays stay writable and unshared
+        rng = np.random.default_rng(8)
+        cells = np.unique(rng.integers(0, 40 * 30, 300))
+        v, o = cells // 30, cells % 30
+        g = BipartiteGraph.from_edges([40], [30], v, o)
+        perm = rng.permutation(cells.size)
+        h = BipartiteGraph.from_edges([40], [30], v[perm], o[perm])
+        for a, b in ((g.vertex_ptr, h.vertex_ptr), (g.vertex_idx, h.vertex_idx),
+                     (g.object_ptr, h.object_ptr), (g.object_idx, h.object_idx)):
+            assert a.dtype == b.dtype and (a == b).all()
+        assert o.flags.writeable and not g.vertex_idx.flags.writeable
+        o[:] = 0
+        assert (g.vertex_idx == h.vertex_idx).all()
 
     def test_cells_map_to_pairs_across_object_classes(self):
         # each block is one subset of cells, cell = vertex * m_j + object;
