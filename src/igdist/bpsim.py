@@ -199,22 +199,24 @@ def w_sample(
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
-    x = [0] * p.K
+    K, J = len(p.n), len(p.m)
+    x = [0] * K
     x[_vertex_type(p, start_type)] = 1
-    rng = np.random.default_rng(seed)
+    binomial = np.random.default_rng(seed).binomial
     objects, vertices = p.offspring_blocks
     for i in range(1, horizon + 1):
-        y = [0] * p.J
+        y = [0] * J
         for k, j, m_j, pkj in objects:
             if x[k]:
-                y[j] += rng.binomial(m_j * x[k], pkj)
+                y[j] += binomial(m_j * x[k], pkj)
         _check_cap(sum(y), population_cap, i)
-        x = [0] * p.K
+        x = [0] * K
         for j, k, n_k, pkj in vertices:
             if y[j]:
-                x[k] += rng.binomial(n_k * y[j], pkj)
-        _check_cap(sum(x), population_cap, i)
-        if not any(x):
+                x[k] += binomial(n_k * y[j], pkj)
+        total = sum(x)
+        _check_cap(total, population_cap, i)
+        if not total:
             return 0.0
     return float(spec.nu @ np.array(x, dtype=np.int64)) * spec.tau**-horizon
 

@@ -90,15 +90,19 @@ class _Rows:
 
 def _csr(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int):
     """CSR arrays of the pairs (rows[i], cols[i]), each row ascending.
-    Pairs already in (row, col) order, as the vertex side of a one-block
-    `sample_bipartite` graph is, skip the sort."""
+    Reads `rows` and takes `cols` over: pairs already in (row, col)
+    order, as the vertex side of a one-block `sample_bipartite` graph
+    is, keep `cols` as the index array; the others sort their keys in
+    place."""
     ptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=ptr[1:])
-    keys = rows * n_cols + cols
+    keys = rows * n_cols
+    keys += cols
     if (keys[1:] >= keys[:-1]).all():
-        idx = cols.copy()  # cols may be the caller's array
+        idx = cols
     else:
-        idx = np.sort(keys) % n_cols
+        keys.sort()
+        idx = np.remainder(keys, n_cols, out=keys)
     ptr.flags.writeable = False
     idx.flags.writeable = False
     return ptr, idx
@@ -124,16 +128,23 @@ class BipartiteGraph:
     def from_edges(cls, n, m, v, o) -> "BipartiteGraph":
         """Graph on the per-type vertex counts n and object counts m with
         edges (v[i], o[i]) in global ids; duplicates are the caller's
-        responsibility."""
+        responsibility.  The graph holds copies of v and o."""
         n_v, n_o = int(np.sum(n)), int(np.sum(m))
-        v = np.asarray(v, dtype=np.int64)
-        o = np.asarray(o, dtype=np.int64)
+        v = np.array(v, dtype=np.int64)
+        o = np.array(o, dtype=np.int64)
         if v.shape != o.shape:
             raise ValidationError("edge arrays differ in length")
         if v.size and not (
             0 <= v.min() and v.max() < n_v and 0 <= o.min() and o.max() < n_o
         ):
             raise ValidationError("edge endpoint out of range")
+        return cls._owning(n, m, v, o)
+
+    @classmethod
+    def _owning(cls, n, m, v, o) -> "BipartiteGraph":
+        """`from_edges` on int64 edge arrays that are in range and that
+        the graph takes over: its CSR is built in place from them."""
+        n_v, n_o = int(np.sum(n)), int(np.sum(m))
         vertex_ptr, vertex_idx = _csr(v, o, n_v, n_o)
         object_ptr, object_idx = _csr(o, v, n_o, n_v)
         return cls(
@@ -223,8 +234,8 @@ def sample_bipartite(p: ModelParams, seed) -> BipartiteGraph:
     count.  `seed` may be a numpy Generator, which the draw advances.
     """
     rng = np.random.default_rng(seed)
-    v_off = np.concatenate([[0], np.cumsum(p.n)])
-    o_off = np.concatenate([[0], np.cumsum(p.m)])
+    v_off = np.concatenate([[0], np.cumsum(p.n)]).tolist()
+    o_off = np.concatenate([[0], np.cumsum(p.m)]).tolist()
     vs: list[np.ndarray] = []
     obs: list[np.ndarray] = []
     for k in range(p.K):
@@ -234,17 +245,23 @@ def sample_bipartite(p: ModelParams, seed) -> BipartiteGraph:
                 continue
             m_j = int(p.m[j])
             cells = int(p.n[k]) * m_j
-            cell = sample_family_subsets(rng, [rng.binomial(cells, prob)], cells)
-            v, o = np.divmod(cell, m_j)
-            vs.append(v + v_off[k])
-            obs.append(o + o_off[j])
-    empty = np.empty(0, dtype=np.int64)
-    return BipartiteGraph.from_edges(
-        p.n,
-        p.m,
-        np.concatenate(vs) if vs else empty,
-        np.concatenate(obs) if obs else empty,
-    )
+            # the drawn cells v * m_j + o become the object ids in place
+            o = sample_family_subsets(rng, [rng.binomial(cells, prob)], cells)
+            v = o // m_j
+            o -= v * m_j
+            v += v_off[k]
+            o += o_off[j]
+            vs.append(v)
+            obs.append(o)
+    return BipartiteGraph._owning(p.n, p.m, _joined(vs), _joined(obs))
+
+
+def _joined(parts: list) -> np.ndarray:
+    """The blocks' edge arrays as one int64 array, without a copy for a
+    single block."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 def _gather(ptr: np.ndarray, idx: np.ndarray, nodes: np.ndarray) -> np.ndarray:

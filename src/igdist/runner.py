@@ -131,14 +131,10 @@ def _receive(pid: int, r: int) -> list:
 
 
 def _fmt(x) -> str:
+    if isinstance(x, float):  # numpy's float64 included
+        return float.__repr__(x)  # also "nan", "inf" and "-inf"
     if isinstance(x, (np.floating, np.integer)):
         x = x.item()
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
     return str(x)
 
 
@@ -149,7 +145,7 @@ class RunWriter:
     def __init__(self, out_dir: Path, config: ExperimentConfig, subcommand: str):
         self.out_dir = Path(out_dir)
         self.created: list[Path] = []  # deepest first
-        self.files: list[Path] = []
+        self.files: dict[Path, str] = {}  # path -> sha256 of its bytes
         self.seeds: dict[str, int] = {}
         self.config = config
         self.subcommand = subcommand
@@ -169,22 +165,21 @@ class RunWriter:
             self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir / name
 
-    def write_csv(self, name: str, header: list[str], rows) -> Path:
+    def _write(self, name: str, text: str) -> Path:
         path = self._path(name)
+        data = text.encode()
+        path.write_bytes(data)
+        self.files[path] = hashlib.sha256(data).hexdigest()
+        return path
+
+    def write_csv(self, name: str, header: list[str], rows) -> Path:
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(_fmt(x) for x in row))
-        path.write_text("\n".join(lines) + "\n", newline="\n")
-        self.files.append(path)
-        return path
+        return self._write(name, "\n".join(lines) + "\n")
 
     def write_json(self, name: str, payload: dict) -> Path:
-        path = self._path(name)
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", newline="\n"
-        )
-        self.files.append(path)
-        return path
+        return self._write(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def discard(self) -> None:
         for f in self.files:
@@ -202,10 +197,7 @@ class RunWriter:
         cfg_hash = hashlib.sha256(
             json.dumps(self.config.raw, sort_keys=True).encode()
         ).hexdigest()
-        outputs = []
-        for f in self.files:
-            digest = hashlib.sha256(f.read_bytes()).hexdigest()
-            outputs.append({"path": f.name, "sha256": digest})
+        outputs = [{"path": f.name, "sha256": d} for f, d in self.files.items()]
         manifest = {
             "subcommand": self.subcommand,
             "config_hash": cfg_hash,
@@ -216,9 +208,8 @@ class RunWriter:
             "outputs": outputs,
         }
         path = self._path("manifest.json")
-        path.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n"
-        )
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        path.write_bytes(text.encode())
         return path
 
 

@@ -359,6 +359,19 @@ class TestConditionedPool:
                     population_cap=BIG_CAP,
                 )
             assert hashlib.sha256(pool.tobytes()).hexdigest() == hexdigest
+        # zero_row of test_lone_replicate_matches_batch_of_one, whose
+        # p_kj = 0 blocks are not offspring blocks, with its stand-ins
+        zero_row = ModelParams(n=[20, 30], m=[25, 15], P=[[0.05, 0.1], [0.0, 0.0]])
+        spec = types.SimpleNamespace(nu=np.array([0.7, 1.3]), tau=1.5)
+        for seed, hexdigest in (
+            (1, "cd8ecaf3a18d6d28617ad113d89a02ae29c8e6f05d808ec1a7266f4ebd0b3eef"),
+            (2, "a73c5c0bcceac8bd8d743569dff1f9dcea2d5bf844566d64ea5f9912359b966a"),
+            (3, "b09fc035396d4c58c5591bf88f123de8b53a822f1e2dc3e52e30580ee02fb9b6"),
+        ):
+            pool = conditioned_w_pool(
+                zero_row, spec, 0, 8, 120, seed, population_cap=BIG_CAP
+            )
+            assert hashlib.sha256(pool.tobytes()).hexdigest() == hexdigest
 
     def test_every_attempt_is_one_w_sample_call(
         self, monkeypatch, scalar2, scalar2_spec

@@ -272,9 +272,23 @@ class TestSampling:
         for a, b in ((g.vertex_ptr, h.vertex_ptr), (g.vertex_idx, h.vertex_idx),
                      (g.object_ptr, h.object_ptr), (g.object_idx, h.object_idx)):
             assert a.dtype == b.dtype and (a == b).all()
-        assert o.flags.writeable and not g.vertex_idx.flags.writeable
+        csr = (g.vertex_ptr, g.vertex_idx, g.object_ptr, g.object_idx)
+        assert v.flags.writeable and o.flags.writeable
+        assert not any(np.shares_memory(a, e) for a in csr for e in (v, o))
+        assert not g.vertex_idx.flags.writeable
         o[:] = 0
         assert (g.vertex_idx == h.vertex_idx).all()
+
+    def test_csr_arrays_read_only_and_unshared(self, scalar2, two_by_two):
+        # the sampler builds the CSR in place from the cells it drew: the
+        # four arrays are still read-only and own disjoint memory
+        for p in (scalar2, two_by_two):
+            for seed in (1, 2):
+                g = sample_bipartite(p, seed)
+                csr = (g.vertex_ptr, g.vertex_idx, g.object_ptr, g.object_idx)
+                assert not any(a.flags.writeable for a in csr)
+                for a, b in itertools.combinations(csr, 2):
+                    assert not np.shares_memory(a, b)
 
     def test_cells_map_to_pairs_across_object_classes(self):
         # each block is one subset of cells, cell = vertex * m_j + object;

@@ -491,14 +491,80 @@ class TestRun:
 
     def test_manifest_lists_outputs_with_hashes(self, tmp_path):
         cfg = load_config(write_config(tmp_path, MINIMAL))
-        out = run("graph-dist", cfg, out_dir=tmp_path / "out")
-        manifest = json.loads((out / "manifest.json").read_text())
-        names = {o["path"] for o in manifest["outputs"]}
-        assert names == {"distances.csv"}
-        for entry in manifest["outputs"]:
-            digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
-            assert digest == entry["sha256"]
-        assert "graph-dist" in manifest["seeds"]
+        for subcommand, names in (
+            ("graph-dist", {"distances.csv"}),
+            ("compare", {
+                "distances.csv", "wpool_a.csv", "wpool_b.csv", "survival.csv",
+                "approx_law.csv", "compare.csv",
+            }),
+        ):
+            out = run(subcommand, cfg, out_dir=tmp_path / subcommand)
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert {o["path"] for o in manifest["outputs"]} == names
+            for entry in manifest["outputs"]:
+                digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
+                assert digest == entry["sha256"]
+            assert "graph-dist" in manifest["seeds"]
+
+    def test_fmt_strings_pinned(self):
+        # the CSV cell strings, recorded before `_fmt` formatted floats
+        # by float.__repr__ alone
+        floats = {
+            0.1: "0.1", 1 / 3: "0.3333333333333333", -0.0: "-0.0",
+            1e-300: "1e-300", float("nan"): "nan", float("inf"): "inf",
+            float("-inf"): "-inf",
+        }
+        for x, want in floats.items():
+            assert runner._fmt(x) == want
+            assert runner._fmt(np.float64(x)) == want
+        assert runner._fmt(np.float32(0.1)) == "0.10000000149011612"
+        assert runner._fmt(np.int64(7)) == "7"
+        assert runner._fmt(True) == "True"
+        assert runner._fmt("inf") == "inf"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_result_bytes_pinned(self, tmp_path, workers):
+        # sha256 of every result file of the randomized pipelines on the
+        # 2x2 fixture, recorded before the graph sampler built its CSR in
+        # place; the manifest lists the same digests.  A change that
+        # alters a random stream on purpose records them again.
+        doc = dict(
+            MINIMAL, k1=1, k2=2, seed=2424,
+            model={"n": [300, 400], "m": [350, 450],
+                   "P": [[0.004, 0.001], [0.0008, 0.003]]},
+        )
+        distances = "3cc3a8beb0fbc22188a7dd261b1a0db9cfd7b5223d835f893b172fba561727f7"
+        pools = {
+            "survival.csv": "5d65d3eb0a1f074ec22f8332d46e19b31fc9d820447bc7f6ce0636b1c15fa465",
+            "wpool_a.csv": "d1773607eba301b524a3d42d459199da1ba075d3243f401af26f40ac90b3e8e0",
+            "wpool_b.csv": "8b1ed2ebf8431005fe4cc99a863a99daa1d026a5bb5c6ef72e044d54639ff25a",
+        }
+        approx = "f6b0ebfff6bb3b33d06625c4c783de0e365fbd92f4b92c78abac03ebb87330d7"
+        want = {
+            "graph-dist": {"distances.csv": distances},
+            "bp": {
+                **pools,
+                "trajectory.csv": "43528a92c6ce630a359b1b16a56f269224469bf32f3e70019d05a80cbf2ffe96",
+                "trajectory_mean.csv": "0e94bf2c76afccf00dc6d32b491b2cf6aa4ece94e5aec80d1045a1f7c84a425d",
+            },
+            "approx": {**pools, "approx_law.csv": approx},
+            "compare": {
+                **pools,
+                "distances.csv": distances,
+                "approx_law.csv": approx,
+                "compare.csv": "d8815da0278a46f8e30ac6f42ea001685e3d022dbf0d4352fe74b1e782a63c72",
+            },
+        }
+        cfg = config_from_dict(doc)
+        for subcommand, digests in want.items():
+            out = run(subcommand, cfg, out_dir=tmp_path / subcommand, workers=workers)
+            got = {
+                f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in out.iterdir() if f.name != "manifest.json"
+            }
+            assert got == digests, subcommand
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert {o["path"]: o["sha256"] for o in manifest["outputs"]} == digests
 
     def test_partial_outputs_removed_on_failure(self, tmp_path):
         doc = dict(MINIMAL)
