@@ -376,10 +376,11 @@ def labeled_growth(
             break
         types = np.repeat(np.arange(len(counts)), counts.sum(axis=1))
         fam = np.repeat(np.tile(np.arange(rows.size), len(counts)), counts.ravel())
-        ix = np.concatenate([
-            sample_family_subsets(rng, c, universe)
-            for c, universe in zip(counts, sizes[cs].tolist())
-        ])
+        parts = []
+        for c, universe in zip(counts, sizes[cs].tolist()):
+            keys = sample_family_subsets(rng, c, universe)  # row r: r * universe + ix
+            parts.append(np.remainder(keys, universe, out=keys))
+        ix = np.concatenate(parts)
 
         # classify every child at once on global ids, which never
         # collide across child types

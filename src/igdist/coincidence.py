@@ -176,13 +176,6 @@ def p_no_collision_exact(s: SamplingScheme) -> float:
     )
 
 
-def _subset_keys(rng, reps: int, z: int, w: int) -> np.ndarray:
-    """Keys rep * w + e of one uniform z-subset of range(w) per
-    replicate."""
-    base = np.repeat(np.arange(reps, dtype=np.int64) * w, z)
-    return base + sample_family_subsets(rng, np.full(reps, z), w)
-
-
 def _footprint(s: SamplingScheme) -> int:
     """Keys one Monte Carlo replicate holds in its largest class: z per
     draw, or w for a draw over w/2: the mask `sample_family_subsets` holds."""
@@ -198,8 +191,9 @@ def p_no_collision_mc(
     """Monte Carlo estimate of P[S = 0] with its binomial standard error.
 
     Replicates run in `replicate_blocks` of _CHUNK // _footprint(s), each
-    vectorized: every (replicate, draw) is one `sample_family_subsets`
-    family, and a replicate collides when one of B's keys is in A's union.
+    vectorized: every (replicate r, draw) is one `sample_family_subsets`
+    family, whose keys r * w + e are used directly, and a replicate
+    collides when one of B's keys is in A's union.
     """
     empty = np.empty(0, dtype=np.int64)
 
@@ -208,13 +202,15 @@ def p_no_collision_mc(
         for l in range(s.L):
             w, w_star = s.w[l], s.excluded[l]
             a_keys = np.sort(np.concatenate(
-                [empty] + [_subset_keys(rng, n, z, w) for z in s.draws_a[l]]
+                [empty] + [sample_family_subsets(rng, np.full(n, z), w)
+                           for z in s.draws_a[l]]
             ))
             # elements 0..w_star-1 play the excluded set; repeated keys
             # do not disturb the membership test below
             a_keys = a_keys[a_keys % w >= w_star]
             b_keys = np.concatenate(
-                [empty] + [_subset_keys(rng, n, z, w) for z in s.draws_b[l]]
+                [empty] + [sample_family_subsets(rng, np.full(n, z), w)
+                           for z in s.draws_b[l]]
             )
             at = np.searchsorted(a_keys, b_keys)
             hit = at < a_keys.size

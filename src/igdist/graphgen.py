@@ -15,19 +15,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import ModelParams, _roots
+from .model import ModelParams, _array, _is_integer, _roots
 from .seeding import replicate_blocks
 
 INF = math.inf
 
 
 def sample_family_subsets(rng, counts, universe: int) -> np.ndarray:
-    """Uniform distinct indices within each family, batched.
+    """Uniform distinct indices within each family, batched, as keys.
 
-    Family f draws a uniform counts[f]-subset of range(universe); the
-    result concatenates the families' subsets in family order, each in
-    ascending order.  Every round sorts the keys family * universe +
-    index, keeps one copy of each repeated key and redraws the other
+    Family f draws a uniform counts[f]-subset of range(universe) as the
+    keys f * universe + index, so `keys % universe` are its indices; the
+    result is every family's keys, ascending.  Every round sorts the
+    keys, keeps one copy of each repeated key and redraws the other
     copies within their own family, until no key repeats.  A round
     commutes with any permutation of one family's indices, and the
     redraws are fresh uniforms, so each family's final set is a uniform
@@ -41,27 +41,28 @@ def sample_family_subsets(rng, counts, universe: int) -> np.ndarray:
     if top > universe:
         raise ValidationError("a family is larger than its universe")
     drawn = np.minimum(counts, universe - counts) if 2 * top > universe else counts
-    base = np.repeat(np.arange(counts.size, dtype=np.int64) * universe, drawn)
-    keys = base + rng.integers(0, universe, size=base.size)
+    keys = np.repeat(np.arange(counts.size, dtype=np.int64) * universe, drawn)
+    keys += rng.integers(0, universe, size=keys.size)
     keys.sort()
     while True:
         dup = np.flatnonzero(keys[1:] == keys[:-1]) + 1
         if not dup.size:
             break
-        # sorted keys stay grouped like `base`: redraws keep their family
-        keys[dup] = base[dup] + rng.integers(0, universe, size=dup.size)
-        keys.sort()
-    ix = keys - base
+        fam = keys[dup] - keys[dup] % universe  # a redraw keeps its family
+        keys[dup] = fam + rng.integers(0, universe, size=dup.size)
+        keys.sort(kind="stable")
     if 2 * top <= universe:
-        return ix
+        return keys
     flip = drawn < counts
     missing = np.repeat(flip, drawn)
     mask = np.ones((int(flip.sum()), universe), dtype=bool)
-    mask[np.repeat(np.arange(len(mask)), drawn[flip]), ix[missing]] = False
+    mask_row = np.repeat(np.arange(len(mask)), drawn[flip])
+    mask[mask_row, keys[missing] % universe] = False
+    mask_row, ix = np.divmod(np.flatnonzero(mask), universe)
     out_flip = np.repeat(flip, counts)
     out = np.empty(out_flip.size, dtype=np.int64)
-    out[out_flip] = np.flatnonzero(mask) % universe
-    out[~out_flip] = ix[~missing]
+    out[out_flip] = np.flatnonzero(flip)[mask_row] * universe + ix
+    out[~out_flip] = keys[~missing]
     return out
 
 
@@ -128,10 +129,11 @@ class BipartiteGraph:
     def from_edges(cls, n, m, v, o) -> "BipartiteGraph":
         """Graph on the per-type vertex counts n and object counts m with
         edges (v[i], o[i]) in global ids; duplicates are the caller's
-        responsibility.  The graph holds copies of v and o."""
-        n_v, n_o = int(np.sum(n)), int(np.sum(m))
-        v = np.array(v, dtype=np.int64)
-        o = np.array(o, dtype=np.int64)
+        responsibility.  All four must be 1-D integer arrays (no bools or
+        floats).  The graph holds copies of v and o."""
+        n, m = _array(n, "n", np.int64, 1), _array(m, "m", np.int64, 1)
+        v, o = _array(v, "v", np.int64, 1), _array(o, "o", np.int64, 1)
+        n_v, n_o = int(n.sum()), int(m.sum())
         if v.shape != o.shape:
             raise ValidationError("edge arrays differ in length")
         if v.size and not (
@@ -295,7 +297,7 @@ def pair_distance(g: BipartiteGraph, a: int, b: int):
     """
     n_v, n_o = g.n_vertices, g.n_objects
     for v in (a, b):
-        if not 0 <= v < n_v:
+        if not (_is_integer(v) and 0 <= v < n_v):
             raise ValidationError(f"invalid vertex id {v}")
     if a == b:
         return 0

@@ -70,6 +70,16 @@ def _slot_by_slot_subsets(rng, counts, universe):
     )
 
 
+def _indices(keys, counts, universe):
+    """The indices keys % universe of a `sample_family_subsets` result,
+    after checking its key contract: int64 keys, strictly ascending, and
+    key i's family keys[i] // universe is the family of position i."""
+    fam = np.repeat(np.arange(len(counts)), counts)
+    assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()
+    assert (keys // universe == fam).all()
+    return keys % universe
+
+
 class TestSampling:
     def test_zero_probability(self):
         g = sample_bipartite(ModelParams(n=[20], m=[10], P=[[0.0]]), seed=1)
@@ -137,9 +147,8 @@ class TestSampling:
 
         rng = np.random.default_rng(8)
         sizes = np.full(1000, 2)
-        pairs = np.concatenate(
-            [sample_family_subsets(rng, sizes, 5).reshape(-1, 2) for _ in range(20)]
-        )
+        draws = [sample_family_subsets(rng, sizes, 5) for _ in range(20)]
+        pairs = np.concatenate([_indices(k, sizes, 5).reshape(-1, 2) for k in draws])
         pairs.sort(axis=1)
         assert (pairs[:, 0] < pairs[:, 1]).all()
         _, counts = np.unique(pairs[:, 0] * 5 + pairs[:, 1], return_counts=True)
@@ -158,7 +167,8 @@ class TestSampling:
         reps = 20_000
         rng = np.random.default_rng(21)
         counts = np.tile([1, 0, 2, 3], reps)
-        ix = sample_family_subsets(rng, counts, 5).reshape(reps, 6)
+        keys = sample_family_subsets(rng, counts, 5)
+        ix = _indices(keys, counts, 5).reshape(reps, 6)
         one, two, three = ix[:, :1], ix[:, 1:3], ix[:, 3:]
         for fam in (two, three):
             assert (np.diff(fam, axis=1) > 0).all()  # ascending, distinct
@@ -183,7 +193,8 @@ class TestSampling:
             counts = cases.integers(0, universe + 1, size=int(cases.integers(0, 20)))
             fam = np.repeat(np.arange(counts.size), counts)
             rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
-            got = sample_family_subsets(rng, counts, universe)
+            keys = sample_family_subsets(rng, counts, universe)
+            got = _indices(keys, counts, universe)
             ref = _slot_by_slot_subsets(ref_rng, counts, universe)
             order = np.lexsort((ref, fam))
             assert (got == ref[order]).all(), case
@@ -195,8 +206,10 @@ class TestSampling:
         universe = 30
         for c in range(universe // 2):
             rng, ref_rng = np.random.default_rng(c), np.random.default_rng(c)
-            got = sample_family_subsets(rng, [universe - c], universe)
-            drop = sample_family_subsets(ref_rng, [c], universe)
+            keys = sample_family_subsets(rng, [universe - c], universe)
+            got = _indices(keys, [universe - c], universe)
+            keys = sample_family_subsets(ref_rng, [c], universe)
+            drop = _indices(keys, [c], universe)
             assert (got == np.setdiff1d(np.arange(universe), drop)).all(), c
             assert rng.integers(1 << 62) == ref_rng.integers(1 << 62), c
         # in one call: exactly half (drawn as is), full, empty, flipped
@@ -204,7 +217,8 @@ class TestSampling:
         # the flipped families 1, 3, 5 and 7 draw their missing indices
         counts = np.array([15, 30, 0, 22, 4, 29, 15, 16, 1])
         drawn = np.array([15, 0, 0, 8, 4, 1, 15, 14, 1])
-        got = sample_family_subsets(np.random.default_rng(40), counts, universe)
+        keys = sample_family_subsets(np.random.default_rng(40), counts, universe)
+        got = _indices(keys, counts, universe)
         raw = _slot_by_slot_draw(
             np.random.default_rng(40), np.repeat(np.arange(counts.size), drawn),
             universe,
@@ -420,6 +434,40 @@ class TestPairDistance:
             graph_from_edges(2, 1, [(0, 1)])
         with pytest.raises(ValidationError, match="out of range"):
             graph_from_edges(2, 1, [(-1, 0)])
+
+    def test_from_edges_rejects_float_endpoints(self):
+        # truncation would silently build the edges (1, 0) and (0, 1)
+        with pytest.raises(ValidationError, match="v must be integers"):
+            BipartiteGraph.from_edges([2], [2], [0.7, 1.9], [1.2, 0.5])
+        with pytest.raises(ValidationError, match="o must be integers"):
+            BipartiteGraph.from_edges([2], [2], [1, 0], [0.0, 1.0])
+
+    def test_from_edges_rejects_float_counts(self):
+        with pytest.raises(ValidationError, match="n must be integers"):
+            BipartiteGraph.from_edges([2.5], [2], [0], [0])
+        with pytest.raises(ValidationError, match="m must be integers"):
+            BipartiteGraph.from_edges([2], [2.0], [0], [0])
+
+    def test_from_edges_rejects_bool_endpoints(self):
+        with pytest.raises(ValidationError, match="v must be integers"):
+            BipartiteGraph.from_edges([2], [2], [True, False], [0, 1])
+        with pytest.raises(ValidationError, match="o must be integers"):
+            BipartiteGraph.from_edges([2], [2], [0, 1], np.array([True, False]))
+
+    def test_from_edges_rejects_nested_edges(self):
+        with pytest.raises(ValidationError, match="v must be 1-D"):
+            BipartiteGraph.from_edges([3], [3], [[0, 1], [2, 0]], [[1, 2], [0, 1]])
+        with pytest.raises(ValidationError, match="o must be 1-D"):
+            BipartiteGraph.from_edges([3], [3], [0, 1], [[1], [2]])
+
+    def test_vertex_id_must_be_an_integer(self):
+        # a bool would measure from vertex 1, a float reach numpy's
+        # IndexError; numpy integers pass like Python ints
+        g = graph_from_edges(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)])
+        for a, b in ((True, 2), (2, False), (1.5, 0), (0, 2.0), ("0", 2)):
+            with pytest.raises(ValidationError, match="invalid vertex id"):
+                pair_distance(g, a, b)
+        assert pair_distance(g, np.int64(0), np.int32(2)) == 2
 
     def test_exhaustive_small_graphs_vs_floyd_warshall(self):
         # all bipartite graphs on 3 vertices + 3 objects

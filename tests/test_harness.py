@@ -526,12 +526,15 @@ class TestRun:
     def test_result_bytes_pinned(self, tmp_path, workers):
         # sha256 of every result file of the randomized pipelines on the
         # 2x2 fixture, recorded before the graph sampler built its CSR in
-        # place; the manifest lists the same digests.  A change that
+        # place; `ghosts` and `coincidence` (a scheme that takes the
+        # Monte Carlo path) were recorded before the subset draw returned
+        # keys.  The manifest lists the same digests.  A change that
         # alters a random stream on purpose records them again.
         doc = dict(
             MINIMAL, k1=1, k2=2, seed=2424,
             model={"n": [300, 400], "m": [350, 450],
                    "P": [[0.004, 0.001], [0.0008, 0.003]]},
+            scheme={"w": [60], "zA": [[3, 2]], "zB": [[2, 2]], "wstar": [5]},
         )
         distances = "3cc3a8beb0fbc22188a7dd261b1a0db9cfd7b5223d835f893b172fba561727f7"
         pools = {
@@ -553,6 +556,10 @@ class TestRun:
                 "distances.csv": distances,
                 "approx_law.csv": approx,
                 "compare.csv": "d8815da0278a46f8e30ac6f42ea001685e3d022dbf0d4352fe74b1e782a63c72",
+            },
+            "ghosts": {"ghosts.csv": "1583dab4fbb6b53329ed3bac452e4af6675b3165340c3c50512c30ec74bc74e0"},
+            "coincidence": {
+                "coincidence.csv": "eb8df68a50560ca4bacd608c9766face3a8ca6e33d3965a94390fe974a317025",
             },
         }
         cfg = config_from_dict(doc)
