@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .graphgen import BipartiteGraph, pair_distance, sample_family_subsets
-from .model import ModelParams, SpectralData, _roots, _vertex_type
+from .model import ModelParams, SpectralData, _is_integer, _roots, _vertex_type
 from .seeding import derive_seed, replicate_blocks
 
 DEFAULT_POP_CAP = 100_000_000
@@ -291,6 +291,8 @@ def conditioned_w_pool(
     deterministic given the seed.  Raises when the acceptance rate falls
     below 1e-4.
     """
+    if not _is_integer(pool_size):
+        raise ValidationError(f"pool_size must be an integer, got {pool_size!r}")
     if pool_size < 1:
         raise ValidationError("pool_size must be >= 1")
     rng = np.random.default_rng(derive_seed(seed, "w"))
@@ -320,16 +322,16 @@ def labeled_growth(
     """Grow the two-rooted labeled process for 2*depth generations.
 
     Each generation first draws every child count, so `population_cap`
-    is checked before any index is.  Indices are then assigned per
-    family as uniform distinct subsets of the type's index range, in
-    ascending order, drawing child types in ascending order.  Each
-    side numbers its (type, index) pairs with global ids, so one step
-    per generation classifies all children in ascending (type, parent,
-    sibling) order: a child of a ghost is a ghost; a child whose id was
-    already claimed by a kept individual is a ghost, flagged 2 when the
-    claim happened in its own generation; everything else is kept
-    (class 1).  Edges arise only from kept parents to children of class
-    1 or 2.
+    is checked before any index is.  Child types then draw in ascending
+    order, one uniform distinct subset per parent, and the coupling
+    decodes each key r * universe + index into parent row and index.
+    Global ids number each side's (type, index) pairs and pass on as
+    the parents' ids, so one step per generation classifies all
+    children in ascending (type, parent, sibling) order: a child of a
+    ghost is a ghost; a child whose id was already claimed by a kept
+    individual is a ghost, flagged 2 when the claim happened in its own
+    generation; everything else is kept (class 1).  Edges arise only
+    from kept parents to children of class 1 or 2.
 
     With prune_ghosts=True ghosts get no offspring; the induced edge set
     and distances are unchanged in law, but deep ghost tallies then only
@@ -351,19 +353,20 @@ def labeled_growth(
     ghosts = {s: np.zeros((depth + 1, len(c)), np.int64) for s, c in sizes.items()}
     ends = {s: [np.empty(0, dtype=np.int64)] for s in sizes}
 
-    claimed["X"][[root_a, root_b]] = True
+    gid = np.asarray([root_a, root_b])
+    claimed["X"][gid] = True
     generations = [
         GenerationRecord(
             side="X",
             types=np.asarray([k1, k2], dtype=np.int64),
-            indices=np.asarray([root_a, root_b]) - off["X"][[k1, k2]],
+            indices=gid - off["X"][[k1, k2]],
             classes=np.asarray([1, 1], dtype=np.int8),
             parent_rows=np.asarray([-1, -1], dtype=np.int64),
         )
     ]
 
     for g in range(1, 2 * depth + 1):
-        parent = generations[-1]
+        parent, parent_gid = generations[-1], gid
         ps, cs = parent.side, "Y" if parent.side == "X" else "X"
         kept = parent.classes == 1
         rows = np.flatnonzero(kept) if prune_ghosts else np.arange(kept.size)
@@ -375,12 +378,11 @@ def labeled_growth(
         if not counts.any():
             break
         types = np.repeat(np.arange(len(counts)), counts.sum(axis=1))
-        fam = np.repeat(np.tile(np.arange(rows.size), len(counts)), counts.ravel())
-        parts = []
-        for c, universe in zip(counts, sizes[cs].tolist()):
-            keys = sample_family_subsets(rng, c, universe)  # row r: r * universe + ix
-            parts.append(np.remainder(keys, universe, out=keys))
-        ix = np.concatenate(parts)
+        # per child type, keys r * universe + index; rows[r] is the parent
+        fam, ix = (np.concatenate(a) for a in zip(*[
+            np.divmod(sample_family_subsets(rng, c, universe), universe)
+            for c, universe in zip(counts, sizes[cs].tolist())
+        ]))
 
         # classify every child at once on global ids, which never
         # collide across child types
@@ -393,7 +395,7 @@ def labeled_growth(
         claimed[cs][gid[fresh]] = True
         edge = rows[fam[cls != 0]]
         ends[cs].append(gid[cls != 0])
-        ends[ps].append(off[ps][parent.types[edge]] + parent.indices[edge])
+        ends[ps].append(parent_gid[edge])
         ghost_types = types[cls != 1]
         ghosts[cs][(g + 1) // 2] += np.bincount(ghost_types, minlength=len(sizes[cs]))
         generations.append(GenerationRecord(cs, types, ix, cls, rows[fam]))

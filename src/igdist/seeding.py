@@ -14,6 +14,7 @@ import functools
 import numpy as np
 
 from .errors import ValidationError
+from .model import _is_integer
 
 _MASK = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -53,6 +54,8 @@ def replicate_blocks(fn, reps: int, block: int, seed: int, tag: str) -> list:
     """`reps` replicates as argument-free jobs: job b returns fn(rng, count)
     for its count <= block replicates, rng on the substream (seed, tag, b).
     Join the jobs' results in job order."""
+    if not _is_integer(reps):
+        raise ValidationError(f"reps must be an integer, got {reps!r}")
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     return [

@@ -45,7 +45,7 @@ def _rounds_only_subsets(rng, counts, universe):
     while True:
         dup = np.flatnonzero(keys[1:] == keys[:-1]) + 1
         if not dup.size:
-            return keys - base
+            return keys
         keys[dup] = base[dup] + rng.integers(0, universe, size=dup.size)
         keys.sort()
 
@@ -391,6 +391,13 @@ class TestConditionedPool:
         assert len(draws) > len(pool) and draws[-1] > 0.0
         assert [w for w in draws if w > 0.0] == pool.tolist()
 
+    @pytest.mark.parametrize("pool_size", [True, 2.5, 2.0, "2"])
+    def test_non_integer_pool_size_rejected(self, scalar4, scalar4_spec, pool_size):
+        # a pool size is a count: a float or a bool is refused, not
+        # rounded up or read as 1
+        with pytest.raises(ValidationError, match="pool_size must be an integer"):
+            conditioned_w_pool(scalar4, scalar4_spec, 0, 6, pool_size, seed=1)
+
     def test_survival_too_rare(self, scalar4_spec):
         p = ModelParams(n=[10], m=[10], P=[[0.0]])
         with pytest.raises(SimulationError, match="survival too rare"):
@@ -431,6 +438,57 @@ class TestLabeledGrowth:
             parent_classes = f.generations[g - 1].classes[rec.parent_rows]
             child_of_ghost = parent_classes != 1
             assert (rec.classes[child_of_ghost] != 1).all()
+
+    @pytest.mark.parametrize("prune", [False, True])
+    @pytest.mark.parametrize(
+        "model, k1, k2, depth",
+        [("two_by_two", 0, 1, 4), ("dense", 1, 1, 2), ("rank1_fixture", 0, 1, 3)],
+    )
+    def test_forest_structure(self, request, model, k1, k2, depth, prune):
+        # the tree every coupling must return, read from its records
+        # alone: parent rows, indices in range and distinct among
+        # siblings of one type, edges as (parent, child)
+        # id pairs of the class 1 and 2 children of kept parents, and
+        # ghost tallies as the per-generation counts of classes != 1
+        if model == "dense":
+            p = DENSE
+        elif model == "rank1_fixture":
+            p = request.getfixturevalue(model)[1]
+        else:
+            p = request.getfixturevalue(model)
+        sizes = {"X": p.n, "Y": p.m}
+        off = {s: np.concatenate([[0], np.cumsum(c)]) for s, c in sizes.items()}
+        for seed in range(1, 6):
+            f = labeled_growth(p, k1, k2, depth, seed, prune_ghosts=prune)
+            gens = f.generations
+            assert gens[0].parent_rows.tolist() == [-1, -1]
+            gid = [off[r.side][r.types] + r.indices for r in gens]
+            ghosts = {"X": np.zeros_like(f.ghost_x), "Y": np.zeros_like(f.ghost_y)}
+            lo = 0
+            for g, rec in enumerate(gens):
+                assert ((rec.indices >= 0) & (rec.indices < sizes[rec.side][rec.types])).all()
+                ghosts[rec.side][(g + 1) // 2] += np.bincount(
+                    rec.types[rec.classes != 1], minlength=len(sizes[rec.side])
+                )
+                if g == 0:
+                    continue
+                prev = gens[g - 1]
+                assert rec.side != prev.side
+                assert ((rec.parent_rows >= 0) & (rec.parent_rows < prev.size())).all()
+                # siblings of one type carry distinct indices
+                family = zip(rec.parent_rows.tolist(), rec.types.tolist(), rec.indices.tolist())
+                assert len(set(family)) == rec.size()
+                linked = rec.classes != 0
+                assert (prev.classes[rec.parent_rows[linked]] == 1).all()
+                pairs = [gid[g - 1][rec.parent_rows[linked]], gid[g][linked]]
+                if rec.side == "X":
+                    pairs.reverse()
+                hi = lo + int(linked.sum())
+                got = sorted(zip(f.edges_v[lo:hi].tolist(), f.edges_o[lo:hi].tolist()))
+                assert got == sorted(zip(*(a.tolist() for a in pairs)))
+                lo = hi
+            assert lo == f.edges_v.size == f.edges_o.size
+            assert (f.ghost_x == ghosts["X"]).all() and (f.ghost_y == ghosts["Y"]).all()
 
     def test_deterministic(self, scalar4):
         a = labeled_growth(scalar4, 0, 0, depth=3, seed=21)

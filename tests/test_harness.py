@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import functools
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -85,6 +86,29 @@ class TestReplicateBlocks:
     def test_no_replicates_rejected(self):
         with pytest.raises(ValidationError, match="reps must be >= 1"):
             replicate_blocks(self._draws, 0, 4, seed=1, tag="t")
+
+    @pytest.mark.parametrize("reps", [True, 2.5, 2.0, "2"])
+    @pytest.mark.parametrize(
+        "stage",
+        ["replicate_blocks", "empirical_distance_law", "ghost_scaling", "p_no_collision_mc"],
+    )
+    def test_non_integer_replicates_rejected(self, stage, reps):
+        # a bool is not a count of one and a float is no count at all:
+        # every replicate stage refuses both before drawing
+        p = igdist.ModelParams(n=[20], m=[20], P=[[0.1]])
+        scheme = igdist.SamplingScheme(w=[10], draws_a=[[2]], draws_b=[[2]])
+        run = {
+            "replicate_blocks": lambda: replicate_blocks(self._draws, reps, 4, 1, "t"),
+            "empirical_distance_law": lambda: igdist.empirical_distance_law(
+                p, 0, 0, reps, seed=1
+            ),
+            "ghost_scaling": lambda: igdist.ghost_scaling(
+                p, derived_scalars(p), 2, reps, seed=1
+            ),
+            "p_no_collision_mc": lambda: igdist.p_no_collision_mc(scheme, reps, seed=1),
+        }[stage]
+        with pytest.raises(ValidationError, match="reps must be an integer"):
+            run()
 
     def test_only_seeding_passes_a_replicate_index(self):
         # replicate_blocks owns the rule that addresses a substream by
@@ -790,3 +814,31 @@ class TestCli:
         assert (tmp_path / "w1" / "distances.csv").read_bytes() == (
             tmp_path / "w8" / "distances.csv"
         ).read_bytes()
+
+
+class TestCompareResults:
+    @pytest.fixture(scope="class")
+    def tool(self):
+        path = Path(__file__).parent.parent / "tools" / "compare_results.py"
+        spec = importlib.util.spec_from_file_location("compare_results", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_takes_exactly_two_trees(self, tool):
+        assert tool.main([]) == 2
+        assert tool.main(["a", "b", "c"]) == 2
+
+    def test_reruns_agree_and_a_new_seed_differs(self, tool, tmp_path):
+        tree = Path(__file__).parent.parent
+        doc = dict(MINIMAL, reps={"graph": 20, "pool": 20, "bp": 20})
+        a = write_config(tmp_path, doc, "a.json")
+        b = write_config(tmp_path, dict(doc, seed=4243), "b.json")
+        runs = [
+            tool._run(tree, cfg, "graph-dist", 1, tmp_path / name)
+            for cfg, name in ((a, "x"), (a, "y"), (b, "z"))
+        ]
+        assert runs[0]["exit code"] == 0 and "distances.csv" in runs[0]["files"]
+        assert runs[0]["stdout"] == f"igdist: wrote graph-dist results to {tool.OUT}\n"
+        assert tool._differences(runs[0], runs[1]) == []
+        assert tool._differences(runs[0], runs[2]) == ["manifest", "distances.csv"]
