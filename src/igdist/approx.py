@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphgen import DistanceLaw
-from .model import SpectralData, _array
+from .model import SpectralData, _array, _integer
 from .errors import ValidationError
 
 _BLOCK = 1 << 17  # elements of the one working buffer: 1 MiB of float64
@@ -215,8 +215,7 @@ def sample_U_tilde(
     Each sample combines a standard Gumbel with independent resamples
     from the two pools: -(G + log a + log b + log kappa)/log tau.
     """
-    if count < 1:
-        raise ValidationError("count must be >= 1")
+    count = _integer(count, "count", 1)
     rng = np.random.default_rng(seed)
     gumbel = -np.log(-np.log(rng.random(count)))
     a = pools.pool_a[rng.integers(0, len(pools.pool_a), count)]
@@ -249,7 +248,7 @@ def build_approx_law(
     spec: SpectralData, pools: WPools, u_values
 ) -> ApproxLaw:
     """Evaluate the exceedance table over a window of integer offsets."""
-    support = tuple(int(u) for u in u_values)
+    support = tuple(_integer(u, "offset") for u in u_values)
     exceed = tuple(exceed_prob(spec, pools, u) for u in support)
     return ApproxLaw(
         support=support,
@@ -289,7 +288,8 @@ def compare(
     approximate exceedance, plus a defect row comparing the empirical
     infinite mass with 1 - surv_a * surv_b.
     """
-    u_values = [int(u) for u in u_window if spec.i0 + int(u) >= 0]
+    offsets = (_integer(u, "offset") for u in u_window)
+    u_values = [u for u in offsets if spec.i0 + u >= 0]
     if not u_values:
         raise ValidationError("comparison window is empty")
     law = build_approx_law(spec, pools, u_values)

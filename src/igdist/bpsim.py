@@ -15,14 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    PopulationCapError,
-    SimulationError,
-    ValidationError,
-)
+from .errors import ConvergenceError, PopulationCapError, SimulationError
 from .graphgen import BipartiteGraph, pair_distance, sample_family_subsets
-from .model import ModelParams, SpectralData, _is_integer, _roots, _vertex_type
+from .model import ModelParams, SpectralData, _integer, _roots, _vertex_type
 from .seeding import derive_seed, replicate_blocks
 
 DEFAULT_POP_CAP = 100_000_000
@@ -165,10 +160,8 @@ def simulate_batch(
     stream, so the batch is deterministic given (seed, reps); use
     `simulate` when each replicate must own a substream.
     """
-    if generations < 0:
-        raise ValidationError("generations must be >= 0")
-    if reps < 1:
-        raise ValidationError("reps must be >= 1")
+    generations = _integer(generations, "generations", 0)
+    reps = _integer(reps, "reps", 1)
     k = _vertex_type(p, start)
     X = np.zeros((reps, generations + 1, p.K), dtype=np.int64)
     Y = np.zeros((reps, generations, p.J), dtype=np.int64)
@@ -197,8 +190,7 @@ def w_sample(
     checked on the object side, then on the vertex side, of each
     generation.
     """
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1")
+    horizon = _integer(horizon, "horizon", 1)
     K, J = len(p.n), len(p.m)
     x = [0] * K
     x[_vertex_type(p, start_type)] = 1
@@ -230,6 +222,7 @@ def survival_prob(p: ModelParams, tol: float = 1e-12, max_iter: int = 1_000_000)
     with {W > 0} (almost-sure positivity on non-extinction).  Raises
     ConvergenceError when `max_iter` iterations leave a step >= tol.
     """
+    max_iter = _integer(max_iter, "max_iter", 1)
     P = p.P
     s = np.zeros(p.K)
     for _ in range(max_iter):
@@ -257,10 +250,8 @@ def extinction_frequency(
     passes _SURVIVING_POPULATION, which counts it as surviving.
     """
     k = _vertex_type(p, start_type)
-    if horizon < 0:
-        raise ValidationError("horizon must be >= 0")
-    if reps < 1:
-        raise ValidationError("reps must be >= 1")
+    horizon = _integer(horizon, "horizon", 0)
+    reps = _integer(reps, "reps", 1)
     rng = np.random.default_rng(derive_seed(seed, "extinction"))
     x = [np.full(reps, int(i == k), dtype=np.int64) for i in range(p.K)]
     extinct = 0
@@ -291,10 +282,7 @@ def conditioned_w_pool(
     deterministic given the seed.  Raises when the acceptance rate falls
     below 1e-4.
     """
-    if not _is_integer(pool_size):
-        raise ValidationError(f"pool_size must be an integer, got {pool_size!r}")
-    if pool_size < 1:
-        raise ValidationError("pool_size must be >= 1")
+    pool_size = _integer(pool_size, "pool_size", 1)
     rng = np.random.default_rng(derive_seed(seed, "w"))
     values = []
     attempts = 0
@@ -338,8 +326,7 @@ def labeled_growth(
     count ghosts fathered by kept individuals.  The roots are `_roots`;
     `seed` may be a numpy Generator.
     """
-    if depth < 1:
-        raise ValidationError("depth must be >= 1")
+    depth = _integer(depth, "depth", 1)
     root_a, root_b = _roots(p, k1, k2)
 
     rng = np.random.default_rng(seed)
@@ -426,6 +413,7 @@ def ghost_scaling(
     sqrt(m/n) tau^{2(i-1)} e(m,n)^4.  Non-growing ratios are the
     empirical signature of the uniform ghost-mean bound.
     """
+    depth = _integer(depth, "depth", 1)  # before any worker is forked
     from .runner import _call, parallel_map  # runner imports this module
 
     def ghosts(rng, count):  # the tallies, not the forests, travel back

@@ -45,6 +45,17 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _integer(x, name: str, low: int | None = None) -> int:
+    """x as a Python int: an integer in the sense of `_is_integer`, and
+    at least `low` when given; anything else raises ValidationError.
+    The test is inlined, as `w_sample` runs it once per pool attempt."""
+    if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+        raise ValidationError(f"{name} must be an integer, got {x!r}")
+    if low is not None and x < low:
+        raise ValidationError(f"{name} must be >= {low}")
+    return int(x)
+
+
 def _vertex_type(p: ModelParams, k) -> int:
     """k as a 0-based vertex type of p: an integer with 0 <= k < K;
     anything else raises ValidationError."""

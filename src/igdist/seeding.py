@@ -13,8 +13,7 @@ import functools
 
 import numpy as np
 
-from .errors import ValidationError
-from .model import _is_integer
+from .model import _integer
 
 _MASK = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -38,8 +37,7 @@ def _splitmix64(x: int) -> int:
 
 def derive_seed(master: int, tag: str, replicate: int = 0) -> int:
     """Mix (master, tag, replicate) into a 64-bit substream seed."""
-    if replicate < 0:
-        raise ValueError(f"replicate must be >= 0, got {replicate}")
+    replicate = _integer(replicate, "replicate", 0)
     z = _splitmix64(master & _MASK)
     z = _splitmix64(z ^ _fnv1a64(tag.encode("utf-8")))
     z = _splitmix64(z ^ (replicate & _MASK))
@@ -54,10 +52,7 @@ def replicate_blocks(fn, reps: int, block: int, seed: int, tag: str) -> list:
     """`reps` replicates as argument-free jobs: job b returns fn(rng, count)
     for its count <= block replicates, rng on the substream (seed, tag, b).
     Join the jobs' results in job order."""
-    if not _is_integer(reps):
-        raise ValidationError(f"reps must be an integer, got {reps!r}")
-    if reps < 1:
-        raise ValidationError("reps must be >= 1")
+    reps = _integer(reps, "reps", 1)
     return [
         functools.partial(_run_block, fn, seed, tag, b, min(block, reps - lo))
         for b, lo in enumerate(range(0, reps, block))

@@ -24,7 +24,9 @@ from igdist.runner import RunWriter, _default_horizon, parallel_map, run
 from igdist.seeding import replicate_blocks
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_seeds.json").read_text())
-CONFIGS = Path(__file__).parent.parent / "configs"
+ROOT = Path(__file__).parent.parent
+CONFIGS = ROOT / "configs"
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 MINIMAL = {
     "model": {"n": [1000], "m": [1000], "P": [[0.002]]},
@@ -842,3 +844,21 @@ class TestCompareResults:
         assert runs[0]["stdout"] == f"igdist: wrote graph-dist results to {tool.OUT}\n"
         assert tool._differences(runs[0], runs[1]) == []
         assert tool._differences(runs[0], runs[2]) == ["manifest", "distances.csv"]
+
+
+class TestBenchmarkGuard:
+    @pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+    def test_traced_run_is_correct(self, workload):
+        # the traced run alone checks the benchmark's pinned call counts
+        # (graphs sampled, pool attempts, exceed_prob calls) and that
+        # exact counts repeat across traced repeats; a run that fails
+        # them still exits 0, with `correct: false`
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--trace", "1", "--seconds", "1"],
+            cwd=ROOT, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["correct"] is True, proc.stdout
+        assert result["failed"] == 0, proc.stdout

@@ -1,20 +1,27 @@
 import math
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from igdist import (
+    DistanceLaw,
     ModelParams,
     Rank1Params,
+    WPools,
+    approx,
+    bpsim,
     degree_bound,
     derived_scalars,
     identity_report,
     mean_matrices,
     perron,
     rank1_build,
+    runner,
     second_modulus,
+    seeding,
 )
 from igdist.errors import ValidationError
 
@@ -456,3 +463,71 @@ class TestZetaStarSandwich:
             J = len(s.mu_tilde)
             assert (s.mu.min() / J) * s.zeta_star <= s.zeta + 1e-12
             assert s.zeta <= s.zeta_star + 1e-12
+
+
+_P20 = ModelParams(n=[20], m=[20], P=[[0.1]])
+_SPEC20 = derived_scalars(_P20)
+_POOLS = WPools(pool_a=[1.0, 2.0], pool_b=[0.5, 1.5], surv_a=0.9, surv_b=0.8, horizon=4)
+_LAW = DistanceLaw(counts={2: 5, 3: 5}, infinite_count=0, total=10)
+
+# every count or offset argument checked by `model._integer`: a call
+# with the value v in that argument, and the argument's lower bound
+_INTEGER_ARGS = {
+    "simulate_batch.generations": (lambda v: bpsim.simulate_batch(_P20, 0, v, 2, 1), 0),
+    "simulate_batch.reps": (lambda v: bpsim.simulate_batch(_P20, 0, 2, v, 1), 1),
+    "w_sample.horizon": (lambda v: bpsim.w_sample(_P20, _SPEC20, 0, v, 1), 1),
+    "extinction_frequency.horizon": (
+        lambda v: bpsim.extinction_frequency(_P20, 0, v, 5, 1), 0
+    ),
+    "extinction_frequency.reps": (
+        lambda v: bpsim.extinction_frequency(_P20, 0, 2, v, 1), 1
+    ),
+    "conditioned_w_pool.pool_size": (
+        lambda v: bpsim.conditioned_w_pool(_P20, _SPEC20, 0, 2, v, 1), 1
+    ),
+    "labeled_growth.depth": (lambda v: bpsim.labeled_growth(_P20, 0, 0, v, 1), 1),
+    "ghost_scaling.depth": (lambda v: bpsim.ghost_scaling(_P20, _SPEC20, v, 2, 1), 1),
+    "survival_prob.max_iter": (  # any step is within tol=1 of the start
+        lambda v: bpsim.survival_prob(_P20, tol=1.0, max_iter=v), 1
+    ),
+    "sample_U_tilde.count": (lambda v: approx.sample_U_tilde(_SPEC20, _POOLS, v, 1), 1),
+    "build_approx_law.offset": (
+        lambda v: approx.build_approx_law(_SPEC20, _POOLS, [0, v]), None
+    ),
+    "compare.offset": (lambda v: approx.compare(_LAW, _SPEC20, _POOLS, [0, v]), None),
+    "derive_seed.replicate": (lambda v: seeding.derive_seed(0, "graph", v), 0),
+    "replicate_blocks.reps": (
+        lambda v: seeding.replicate_blocks(lambda rng, c: c, v, 4, 1, "t"), 1
+    ),
+}
+
+
+def _integer_cases():
+    for arg, (_, low) in _INTEGER_ARGS.items():
+        values = [True, 2.5] + ([] if low is None else [low - 1]) + [np.int64(low or 0)]
+        for v in values:
+            yield pytest.param(arg, v, id=f"{arg}-{v!r}")
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("arg, value", _integer_cases())
+    def test_count_and_offset_arguments(self, arg, value, monkeypatch):
+        # a bool is not a count of one, a float is not truncated, a value
+        # below the bound is refused, and a numpy integer is an integer
+        call, low = _INTEGER_ARGS[arg]
+        name = arg.split(".")[1]
+        if isinstance(value, np.integer):
+            call(value)
+            return
+        if isinstance(value, (bool, float)):
+            want = f"{name} must be an integer, got {value!r}"
+        else:
+            want = f"{name} must be >= {low}"
+        # a rejected argument stops the call before any worker starts
+        monkeypatch.setattr(runner, "parallel_map", _no_workers)
+        with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+            call(value)
+
+
+def _no_workers(fn, args_list, workers):
+    raise AssertionError("workers started on a rejected argument")
