@@ -28,12 +28,10 @@ from .graphgen import (
 )
 from .bpsim import (
     LabeledForest,
-    Trajectory,
     conditioned_w_pool,
     extinction_frequency,
     ghost_scaling,
     labeled_growth,
-    simulate,
     survival_prob,
     w_sample,
 )
@@ -74,9 +72,7 @@ __all__ = [
     "sample_bipartite",
     "pair_distance",
     "empirical_distance_law",
-    "Trajectory",
     "LabeledForest",
-    "simulate",
     "w_sample",
     "survival_prob",
     "extinction_frequency",

@@ -239,7 +239,7 @@ def delta_error_scale(spec: SpectralData, y: float) -> float:
     n4 = spec.n_total**0.25
     e = spec.e_mn
     return (
-        (y**1.5 + 1.0) * min(n4 * e**2, 1.0)
+        (_power(y, 1.5) + 1.0) * min(n4 * e**2, 1.0)
         + (y + 1.0) * n4 * e * theta_tilde(spec, spec.i0)
     )
 
@@ -305,7 +305,7 @@ def compare(
                 empirical_exceed=emp,
                 approx_exceed=appr,
                 abs_diff=diff,
-                delta_scale=delta_error_scale(spec, spec.tau**u),
+                delta_scale=delta_error_scale(spec, _power(spec.tau, u)),
             )
         )
     emp_inf = empirical.prob_infinite()

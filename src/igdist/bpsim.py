@@ -30,15 +30,6 @@ _SURVIVING_POPULATION = 100_000
 
 
 @dataclass
-class Trajectory:
-    """Type counts of one run: X is (I+1, K) over generations 0..I, Y is
-    (I, J) over generations 1..I."""
-
-    X: np.ndarray
-    Y: np.ndarray
-
-
-@dataclass
 class GenerationRecord:
     """One labeled generation: parallel arrays over individuals.
 
@@ -109,41 +100,6 @@ def _generation(rng, p: ModelParams, x: list) -> tuple[list, list]:
     return y, x
 
 
-def _grow(rng, p: ModelParams, x: list, X: np.ndarray, Y: np.ndarray, cap: int):
-    """Fill X[:, i, :] and Y[:, i - 1, :] for i = 1, 2, ... from the
-    generation-0 state x, checking the cap on both sides; rows after
-    every replicate has died out stay zero."""
-    for i in range(1, X.shape[1]):
-        y, x = _generation(rng, p, x)
-        _check_cap(int(sum(y).max()), cap, i)
-        largest = int(sum(x).max())
-        _check_cap(largest, cap, i)
-        for j, c in enumerate(y):
-            Y[:, i - 1, j] = c
-        for k, c in enumerate(x):
-            X[:, i, k] = c
-        if largest == 0:
-            return
-
-
-def simulate(
-    p: ModelParams,
-    start,
-    generations: int,
-    seed: int | np.random.Generator,
-    population_cap: int = DEFAULT_POP_CAP,
-) -> Trajectory:
-    """Run the aggregated process for `generations` vertex generations
-    from one vertex of the 0-based type `start`: row 0 of a
-    `simulate_batch` of one.
-
-    Deterministic given the seed; `seed` is an int or a numpy Generator,
-    which the run advances.
-    """
-    X, Y = simulate_batch(p, start, generations, 1, seed, population_cap)
-    return Trajectory(X=X[0], Y=Y[0])
-
-
 def simulate_batch(
     p: ModelParams,
     start,
@@ -156,18 +112,31 @@ def simulate_batch(
     `start` each, vectorized across replicates.
 
     Returns (X, Y) with shapes (reps, generations+1, K) and
-    (reps, generations, J).  Replicates occupy slots of one shared
-    stream, so the batch is deterministic given (seed, reps); use
-    `simulate` when each replicate must own a substream.
+    (reps, generations, J): X[:, i] is vertex generation i and
+    Y[:, i - 1] object generation i, and rows after every replicate has
+    died out stay zero.  The cap is checked on both sides of each
+    generation.  Replicates occupy slots of one shared stream, so the
+    batch is deterministic given (seed, reps); `seed` is an int or a
+    numpy Generator, which the batch advances.
     """
     generations = _integer(generations, "generations", 0)
     reps = _integer(reps, "reps", 1)
+    population_cap = _integer(population_cap, "population_cap", 1)
     k = _vertex_type(p, start)
     X = np.zeros((reps, generations + 1, p.K), dtype=np.int64)
     Y = np.zeros((reps, generations, p.J), dtype=np.int64)
     X[:, 0, k] = 1
-    x = [np.full(reps, int(i == k), dtype=np.int64) for i in range(p.K)]
-    _grow(np.random.default_rng(seed), p, x, X, Y, population_cap)
+    rng = np.random.default_rng(seed)
+    x = list(X[:, 0].T)
+    for i in range(1, generations + 1):
+        y, x = _generation(rng, p, x)
+        _check_cap(int(sum(y).max()), population_cap, i)
+        largest = int(sum(x).max())
+        _check_cap(largest, population_cap, i)
+        Y[:, i - 1] = np.column_stack(y)
+        X[:, i] = np.column_stack(x)
+        if largest == 0:
+            break
     return X, Y
 
 
@@ -186,11 +155,12 @@ def w_sample(
 
     The one lone run of the process: counts stay Python ints, so every
     binomial takes numpy's scalar path, and a block whose parent count
-    is 0 is skipped, which draws what `simulate` draws.  The cap is
-    checked on the object side, then on the vertex side, of each
-    generation.
+    is 0 is skipped, which draws what row 0 of a `simulate_batch` of
+    one draws.  The cap is checked on the object side, then on the
+    vertex side, of each generation.
     """
     horizon = _integer(horizon, "horizon", 1)
+    population_cap = _integer(population_cap, "population_cap", 1)
     K, J = len(p.n), len(p.m)
     x = [0] * K
     x[_vertex_type(p, start_type)] = 1
@@ -327,6 +297,7 @@ def labeled_growth(
     `seed` may be a numpy Generator.
     """
     depth = _integer(depth, "depth", 1)
+    population_cap = _integer(population_cap, "population_cap", 1)
     root_a, root_b = _roots(p, k1, k2)
 
     rng = np.random.default_rng(seed)
@@ -413,7 +384,10 @@ def ghost_scaling(
     sqrt(m/n) tau^{2(i-1)} e(m,n)^4.  Non-growing ratios are the
     empirical signature of the uniform ghost-mean bound.
     """
-    depth = _integer(depth, "depth", 1)  # before any worker is forked
+    # every argument is checked before any worker is forked
+    depth = _integer(depth, "depth", 1)
+    population_cap = _integer(population_cap, "population_cap", 1)
+    _roots(p, k1, k2)
     from .runner import _call, parallel_map  # runner imports this module
 
     def ghosts(rng, count):  # the tallies, not the forests, travel back

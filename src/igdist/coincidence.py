@@ -41,8 +41,8 @@ class SamplingScheme:
     w[l] is the universe size of class l, draws_a[l] / draws_b[l] the
     subset sizes each player draws from it, excluded[l] the size of the
     set whose collisions are not counted.  Checked once, on
-    construction: every size is an integer, w_l >= 2, every draw and
-    w*_l in [0, w_l].
+    construction: at least one class, every size is an integer,
+    w_l >= 2, every draw and w*_l in [0, w_l].
     """
 
     w: tuple
@@ -61,6 +61,8 @@ class SamplingScheme:
         if excluded is None:
             excluded = [0] * len(self.w)
         object.__setattr__(self, "excluded", tuple(_size(x) for x in excluded))
+        if not self.L:
+            raise ValidationError("need at least one class")
         lengths = {len(self.draws_a), len(self.draws_b), len(self.excluded)}
         if lengths != {self.L}:
             raise ValidationError("per-class lists must share one length")

@@ -37,6 +37,7 @@ def _splitmix64(x: int) -> int:
 
 def derive_seed(master: int, tag: str, replicate: int = 0) -> int:
     """Mix (master, tag, replicate) into a 64-bit substream seed."""
+    master = _integer(master, "seed")
     replicate = _integer(replicate, "replicate", 0)
     z = _splitmix64(master & _MASK)
     z = _splitmix64(z ^ _fnv1a64(tag.encode("utf-8")))
@@ -53,6 +54,7 @@ def replicate_blocks(fn, reps: int, block: int, seed: int, tag: str) -> list:
     for its count <= block replicates, rng on the substream (seed, tag, b).
     Join the jobs' results in job order."""
     reps = _integer(reps, "reps", 1)
+    seed = _integer(seed, "seed")
     return [
         functools.partial(_run_block, fn, seed, tag, b, min(block, reps - lo))
         for b, lo in enumerate(range(0, reps, block))

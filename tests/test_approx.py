@@ -477,6 +477,17 @@ class TestCompare:
         assert table.max_abs_diff <= 1e-6
         assert table.defect_abs_diff == 0.0
 
+    def test_offsets_past_the_float_range(self, scalar4_spec, random_pools):
+        # tau**u overflows a float past u = 511 at tau = 4; such a row
+        # holds the limit 1 - s_A s_B with an infinite error scale
+        emp = DistanceLaw(counts={5: 1}, infinite_count=0, total=1)
+        table = compare(emp, scalar4_spec, random_pools, u_window=[0, 300, 2000])
+        row = table.finite_rows()[-1]
+        defect = 1.0 - random_pools.surv_a * random_pools.surv_b
+        assert row.u == 2000.0
+        assert abs(row.approx_exceed - defect) <= 1e-12
+        assert row.delta_scale == math.inf
+
 
 class TestWPools:
     def test_nonpositive_values_rejected(self):

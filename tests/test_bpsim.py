@@ -15,11 +15,10 @@ from igdist import (
     extinction_frequency,
     ghost_scaling,
     labeled_growth,
-    simulate,
     survival_prob,
     w_sample,
 )
-from igdist import bpsim
+from igdist import bpsim, runner
 from igdist.bpsim import simulate_batch
 from igdist.errors import (
     ConvergenceError,
@@ -50,6 +49,10 @@ def _rounds_only_subsets(rng, counts, universe):
         keys.sort()
 
 
+def _no_workers(fn, args_list, workers):
+    raise AssertionError("workers started on a rejected argument")
+
+
 def _forest_digest(f):
     h = hashlib.sha256()
     for rec in f.generations:
@@ -63,15 +66,15 @@ def _forest_digest(f):
 class TestSimulate:
     def test_zero_probability_dies_immediately(self):
         p = ModelParams(n=[10], m=[10], P=[[0.0]])
-        t = simulate(p, 0, 5, seed=1)
-        assert t.X[0][0] == 1
-        assert all(x.sum() == 0 for x in t.X[1:])
-        assert all(y.sum() == 0 for y in t.Y)
+        X, Y = simulate_batch(p, 0, 5, 1, seed=1)
+        assert X[0, 0, 0] == 1
+        assert not X[0, 1:].any()
+        assert not Y[0].any()
 
     def test_deterministic(self, scalar4):
-        a = simulate(scalar4, 0, 6, seed=42)
-        b = simulate(scalar4, 0, 6, seed=42)
-        assert all((x == y).all() for x, y in zip(a.X, b.X))
+        a, _ = simulate_batch(scalar4, 0, 6, 1, seed=42)
+        b, _ = simulate_batch(scalar4, 0, 6, 1, seed=42)
+        assert (a == b).all()
 
     def test_mean_one_generation(self, scalar4):
         # E X(1) = tau = 4 and E Y(1) = p m = zeta = 2
@@ -144,7 +147,7 @@ class TestSimulate:
             errors = []
             for run in (
                 lambda: w_sample(model, spec, 0, 6, seed, population_cap=cap),
-                lambda: simulate(model, 0, 6, seed, population_cap=cap),
+                lambda: simulate_batch(model, 0, 6, 1, seed, population_cap=cap),
             ):
                 with pytest.raises(PopulationCapError) as exc:
                     run()
@@ -152,8 +155,8 @@ class TestSimulate:
             assert errors[0] == errors[1]
             generation, count = errors[0]
             assert generation == 2
-            t = simulate(model, 0, generation, seed, population_cap=BIG_CAP)
-            y, x = int(t.Y[-1].sum()), int(t.X[-1].sum())
+            X, Y = simulate_batch(model, 0, generation, 1, seed, population_cap=BIG_CAP)
+            y, x = int(Y[0, -1].sum()), int(X[0, -1].sum())
             if side == "objects":
                 assert count == y > cap
             else:
@@ -162,7 +165,7 @@ class TestSimulate:
     def test_population_cap_names_generation(self):
         p = ModelParams(n=[1000], m=[1000], P=[[0.02]])  # tau = 400
         with pytest.raises(PopulationCapError, match="generation") as exc:
-            simulate(p, 0, 8, seed=2, population_cap=10_000)
+            simulate_batch(p, 0, 8, 1, seed=2, population_cap=10_000)
         assert exc.value.generation >= 1
 
     def test_population_cap_error_pickles(self):
@@ -175,27 +178,30 @@ class TestSimulate:
 
     def test_start_validation(self, scalar4):
         with pytest.raises(ValidationError, match="invalid vertex type"):
-            simulate(scalar4, 5, 2, seed=1)
-        t = simulate(scalar4, np.int64(0), 1, seed=1)
-        assert t.X[0][0] == 1
+            simulate_batch(scalar4, 5, 2, 1, seed=1)
+        X, _ = simulate_batch(scalar4, np.int64(0), 1, 1, seed=1)
+        assert X[0, 0, 0] == 1
 
     @pytest.mark.parametrize("bad", [5, -1, [0], True, 0.0])
     @pytest.mark.parametrize(
         "run",
         [
-            lambda p, k: simulate(p, k, 2, seed=1),
             lambda p, k: simulate_batch(p, k, 2, 3, seed=1),
             lambda p, k: extinction_frequency(p, k, 2, 3, seed=1),
             lambda p, k: labeled_growth(p, 0, k, 1, seed=1),
             lambda p, k: empirical_distance_law(p, k, 0, reps=1, seed=1),
             lambda p, k: distance_jobs(p, 0, k, reps=1, seed=1),
+            lambda p, k: ghost_scaling(p, derived_scalars(p), 1, 2, 1, k1=k),
+            lambda p, k: ghost_scaling(p, derived_scalars(p), 1, 2, 1, k2=k),
         ],
-        ids=["simulate", "simulate_batch", "extinction_frequency",
-             "labeled_growth", "empirical_distance_law", "distance_jobs"],
+        ids=["simulate_batch", "extinction_frequency", "labeled_growth",
+             "empirical_distance_law", "distance_jobs", "ghost_scaling.k1",
+             "ghost_scaling.k2"],
     )
-    def test_every_run_rejects_a_bad_vertex_type(self, two_by_two, run, bad):
-        # one check for every typed start; a negative id would otherwise
-        # wrap around to the last type
+    def test_every_run_rejects_a_bad_vertex_type(self, two_by_two, run, bad, monkeypatch):
+        # one check for every typed start, made before any worker starts;
+        # a negative id would otherwise wrap around to the last type
+        monkeypatch.setattr(runner, "parallel_map", _no_workers)
         with pytest.raises(ValidationError, match="invalid vertex type"):
             run(two_by_two, bad)
 
@@ -212,7 +218,8 @@ class TestMartingale:
         pos = neg = 0
         for r in range(200):
             seed = derive_seed(1, "t", r)
-            survived = bool(simulate(scalar4, 0, 6, seed).X[-1].any())
+            X, _ = simulate_batch(scalar4, 0, 6, 1, seed)
+            survived = bool(X[0, -1].any())
             assert (w_sample(scalar4, scalar4_spec, 0, 6, seed) > 0.0) == survived
             pos += survived
             neg += not survived

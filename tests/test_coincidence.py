@@ -251,6 +251,10 @@ class TestPoissonCheck:
 
 
 class TestValidation:
+    def test_no_class_rejected(self):
+        with pytest.raises(ValidationError, match="^need at least one class$"):
+            SamplingScheme(w=[], draws_a=[], draws_b=[])
+
     def test_rejected_on_construction(self):
         with pytest.raises(ValidationError, match="w_1 = 1 < 2"):
             SamplingScheme(w=[1], draws_a=[[1]], draws_b=[[1]])

@@ -291,6 +291,7 @@ class TestConfig:
             5,
             {"w": 10, "zA": [[2]], "zB": [[3]]},
             {"w": [10], "zA": [[2]], "zB": [[30]]},
+            {"w": [], "zA": [], "zB": []},
         ],
     )
     def test_bad_scheme_rejected(self, scheme):
@@ -734,6 +735,16 @@ class TestCli:
         assert "scheme" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_scheme_without_classes_exit_two(self, tmp_path, capsys):
+        doc = dict(MINIMAL, scheme={"w": [], "zA": [], "zB": []})
+        code = cli_main(
+            ["coincidence", "--config", str(write_config(tmp_path, doc)),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "need at least one class" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_runtime_error_exit_three(self, tmp_path, capsys):
         doc = dict(MINIMAL)
         doc["model"] = {"n": [1000], "m": [1000], "P": [[0.02]]}
@@ -862,3 +873,28 @@ class TestBenchmarkGuard:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         assert result["correct"] is True, proc.stdout
         assert result["failed"] == 0, proc.stdout
+
+
+# acceptance-test oracles, read only by tests/test_acceptance.py:
+# criterion 3 bounds tau by degree_bound, criterion 6 checks the
+# extinction fixed point against extinction_frequency
+_ORACLES = {"degree_bound", "extinction_frequency"}
+
+
+class TestExportedNames:
+    def test_every_exported_name_has_a_reader(self):
+        # a reader is a Name or Attribute node in the package (its
+        # re-export in __init__.py does not count), perfbench or tools
+        src = ROOT / "src" / "igdist"
+        files = [f for f in src.glob("*.py") if f.name != "__init__.py"]
+        files += [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "tools").glob("*.py")]
+        read = set()
+        for f in files:
+            for node in ast.walk(ast.parse(f.read_text())):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+        assert sorted(set(igdist.__all__) - read - _ORACLES) == []
+        # an oracle that gains a reader leaves the exemption list
+        assert _ORACLES <= set(igdist.__all__) - read

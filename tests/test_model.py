@@ -469,13 +469,21 @@ _P20 = ModelParams(n=[20], m=[20], P=[[0.1]])
 _SPEC20 = derived_scalars(_P20)
 _POOLS = WPools(pool_a=[1.0, 2.0], pool_b=[0.5, 1.5], surv_a=0.9, surv_b=0.8, horizon=4)
 _LAW = DistanceLaw(counts={2: 5, 3: 5}, infinite_count=0, total=10)
+# no individual has offspring, so a population cap of 1 never trips
+_DEAD = ModelParams(n=[20], m=[20], P=[[0.0]])
 
-# every count or offset argument checked by `model._integer`: a call
+# every count, offset, cap or seed argument checked by `model._integer`: a call
 # with the value v in that argument, and the argument's lower bound
 _INTEGER_ARGS = {
     "simulate_batch.generations": (lambda v: bpsim.simulate_batch(_P20, 0, v, 2, 1), 0),
     "simulate_batch.reps": (lambda v: bpsim.simulate_batch(_P20, 0, 2, v, 1), 1),
+    "simulate_batch.population_cap": (
+        lambda v: bpsim.simulate_batch(_DEAD, 0, 2, 2, 1, population_cap=v), 1
+    ),
     "w_sample.horizon": (lambda v: bpsim.w_sample(_P20, _SPEC20, 0, v, 1), 1),
+    "w_sample.population_cap": (
+        lambda v: bpsim.w_sample(_DEAD, _SPEC20, 0, 2, 1, population_cap=v), 1
+    ),
     "extinction_frequency.horizon": (
         lambda v: bpsim.extinction_frequency(_P20, 0, v, 5, 1), 0
     ),
@@ -485,8 +493,17 @@ _INTEGER_ARGS = {
     "conditioned_w_pool.pool_size": (
         lambda v: bpsim.conditioned_w_pool(_P20, _SPEC20, 0, 2, v, 1), 1
     ),
+    "conditioned_w_pool.seed": (
+        lambda v: bpsim.conditioned_w_pool(_P20, _SPEC20, 0, 2, 1, v), None
+    ),
     "labeled_growth.depth": (lambda v: bpsim.labeled_growth(_P20, 0, 0, v, 1), 1),
+    "labeled_growth.population_cap": (
+        lambda v: bpsim.labeled_growth(_DEAD, 0, 0, 2, 1, population_cap=v), 1
+    ),
     "ghost_scaling.depth": (lambda v: bpsim.ghost_scaling(_P20, _SPEC20, v, 2, 1), 1),
+    "ghost_scaling.population_cap": (
+        lambda v: bpsim.ghost_scaling(_DEAD, _SPEC20, 2, 2, 1, population_cap=v), 1
+    ),
     "survival_prob.max_iter": (  # any step is within tol=1 of the start
         lambda v: bpsim.survival_prob(_P20, tol=1.0, max_iter=v), 1
     ),
@@ -496,8 +513,13 @@ _INTEGER_ARGS = {
     ),
     "compare.offset": (lambda v: approx.compare(_LAW, _SPEC20, _POOLS, [0, v]), None),
     "derive_seed.replicate": (lambda v: seeding.derive_seed(0, "graph", v), 0),
+    "derive_seed.seed": (lambda v: seeding.derive_seed(v, "graph"), None),
     "replicate_blocks.reps": (
         lambda v: seeding.replicate_blocks(lambda rng, c: c, v, 4, 1, "t"), 1
+    ),
+    "replicate_blocks.seed": (  # the jobs run too: each derives its substream
+        lambda v: [job() for job in seeding.replicate_blocks(lambda rng, c: c, 6, 4, v, "t")],
+        None,
     ),
 }
 
