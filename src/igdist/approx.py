@@ -19,6 +19,7 @@ import numpy as np
 from .graphgen import DistanceLaw
 from .model import SpectralData, _array, _integer
 from .errors import ValidationError
+from .seeding import _generator
 
 _BLOCK = 1 << 17  # elements of the one working buffer: 1 MiB of float64
 _TOL = 1e-15  # interpolation error allowed in the pair mean
@@ -208,15 +209,17 @@ def cdf_U_prime(spec: SpectralData, pools: WPools, u: float) -> float:
 
 
 def sample_U_tilde(
-    spec: SpectralData, pools: WPools, count: int, seed: int
+    spec: SpectralData, pools: WPools, count: int, seed: int | np.random.Generator
 ) -> np.ndarray:
     """Draws from the conditional (finite-part) mixture law.
 
     Each sample combines a standard Gumbel with independent resamples
     from the two pools: -(G + log a + log b + log kappa)/log tau.
+    `seed` is an integer >= 0 or a numpy Generator, which the draw
+    advances.
     """
     count = _integer(count, "count", 1)
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     gumbel = -np.log(-np.log(rng.random(count)))
     a = pools.pool_a[rng.integers(0, len(pools.pool_a), count)]
     b = pools.pool_b[rng.integers(0, len(pools.pool_b), count)]

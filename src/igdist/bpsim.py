@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConvergenceError, PopulationCapError, SimulationError
 from .graphgen import BipartiteGraph, pair_distance, sample_family_subsets
 from .model import ModelParams, SpectralData, _integer, _roots, _vertex_type
-from .seeding import derive_seed, replicate_blocks
+from .seeding import _generator, derive_seed, replicate_blocks
 
 DEFAULT_POP_CAP = 100_000_000
 
@@ -116,8 +116,8 @@ def simulate_batch(
     Y[:, i - 1] object generation i, and rows after every replicate has
     died out stay zero.  The cap is checked on both sides of each
     generation.  Replicates occupy slots of one shared stream, so the
-    batch is deterministic given (seed, reps); `seed` is an int or a
-    numpy Generator, which the batch advances.
+    batch is deterministic given (seed, reps).  `seed` is an integer
+    >= 0 or a numpy Generator, which the draw advances.
     """
     generations = _integer(generations, "generations", 0)
     reps = _integer(reps, "reps", 1)
@@ -126,7 +126,7 @@ def simulate_batch(
     X = np.zeros((reps, generations + 1, p.K), dtype=np.int64)
     Y = np.zeros((reps, generations, p.J), dtype=np.int64)
     X[:, 0, k] = 1
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     x = list(X[:, 0].T)
     for i in range(1, generations + 1):
         y, x = _generation(rng, p, x)
@@ -150,8 +150,8 @@ def w_sample(
 ) -> float:
     """One draw of the truncated martingale tau^-I * nu @ X(I) from a
     single type-k vertex; it is positive exactly when the run survives,
-    since nu is strictly positive.  `seed` is an int or a numpy
-    Generator, which the draw advances.
+    since nu is strictly positive.  `seed` is an integer >= 0 or a
+    numpy Generator, which the draw advances.
 
     The one lone run of the process: counts stay Python ints, so every
     binomial takes numpy's scalar path, and a block whose parent count
@@ -164,7 +164,7 @@ def w_sample(
     K, J = len(p.n), len(p.m)
     x = [0] * K
     x[_vertex_type(p, start_type)] = 1
-    binomial = np.random.default_rng(seed).binomial
+    binomial = _generator(seed).binomial
     objects, vertices = p.offspring_blocks
     for i in range(1, horizon + 1):
         y = [0] * J
@@ -222,7 +222,7 @@ def extinction_frequency(
     k = _vertex_type(p, start_type)
     horizon = _integer(horizon, "horizon", 0)
     reps = _integer(reps, "reps", 1)
-    rng = np.random.default_rng(derive_seed(seed, "extinction"))
+    rng = _generator(derive_seed(seed, "extinction"))
     x = [np.full(reps, int(i == k), dtype=np.int64) for i in range(p.K)]
     extinct = 0
     for _ in range(horizon):
@@ -253,7 +253,7 @@ def conditioned_w_pool(
     below 1e-4.
     """
     pool_size = _integer(pool_size, "pool_size", 1)
-    rng = np.random.default_rng(derive_seed(seed, "w"))
+    rng = _generator(derive_seed(seed, "w"))
     values = []
     attempts = 0
     while len(values) < pool_size:
@@ -273,7 +273,7 @@ def labeled_growth(
     k1: int,
     k2: int,
     depth: int,
-    seed,
+    seed: int | np.random.Generator,
     prune_ghosts: bool = False,
     population_cap: int = DEFAULT_POP_CAP,
 ) -> LabeledForest:
@@ -293,14 +293,15 @@ def labeled_growth(
 
     With prune_ghosts=True ghosts get no offspring; the induced edge set
     and distances are unchanged in law, but deep ghost tallies then only
-    count ghosts fathered by kept individuals.  The roots are `_roots`;
-    `seed` may be a numpy Generator.
+    count ghosts fathered by kept individuals.  The roots are `_roots`.
+    `seed` is an integer >= 0 or a numpy Generator, which the draw
+    advances.
     """
     depth = _integer(depth, "depth", 1)
     population_cap = _integer(population_cap, "population_cap", 1)
     root_a, root_b = _roots(p, k1, k2)
 
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     # one entry per side: type sizes, global id offsets, P[parent type,
     # child type] toward the side, ids claimed by a kept individual,
     # ghost tallies per vertex/object generation, and edge endpoints
@@ -386,6 +387,7 @@ def ghost_scaling(
     """
     # every argument is checked before any worker is forked
     depth = _integer(depth, "depth", 1)
+    workers = _integer(workers, "workers", 1)
     population_cap = _integer(population_cap, "population_cap", 1)
     _roots(p, k1, k2)
     from .runner import _call, parallel_map  # runner imports this module

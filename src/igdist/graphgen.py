@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import ModelParams, _array, _is_integer, _roots
-from .seeding import replicate_blocks
+from .model import ModelParams, _array, _integer, _is_integer, _roots
+from .seeding import _generator, replicate_blocks
 
 INF = math.inf
 
@@ -187,8 +187,14 @@ class DistanceLaw:
     total: int
 
     def __post_init__(self):
+        if min(self.counts, default=0) < 0:
+            raise ValidationError("distance law has a negative distance")
+        if min([*self.counts.values(), self.infinite_count]) < 0:
+            raise ValidationError("distance law has a negative count")
         if sum(self.counts.values()) + self.infinite_count != self.total:
             raise ValidationError("distance law counts do not sum to total")
+        if self.total == 0:
+            raise ValidationError("distance law has no samples")
 
     def prob_greater(self, d: int) -> float:
         """P[D > d], counting infinite distances."""
@@ -226,16 +232,17 @@ class DistanceLaw:
         return cls(counts, inf_count, sum(counts.values()) + inf_count)
 
 
-def sample_bipartite(p: ModelParams, seed) -> BipartiteGraph:
+def sample_bipartite(p: ModelParams, seed: int | np.random.Generator) -> BipartiteGraph:
     """Sample the typed bipartite graph with independent (v,u) edges.
 
     Per (vertex class k, object class j) block of n_k * m_j cells, the
     edge count is Binomial(n_k * m_j, p_kj) and the edge set a uniform
     subset of that many cells, one `sample_family_subsets` draw; this
     is equal in law to per-pair Bernoulli trials but linear in the edge
-    count.  `seed` may be a numpy Generator, which the draw advances.
+    count.  `seed` is an integer >= 0 or a numpy Generator, which the
+    draw advances.
     """
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     v_off = np.concatenate([[0], np.cumsum(p.n)]).tolist()
     o_off = np.concatenate([[0], np.cumsum(p.m)]).tolist()
     vs: list[np.ndarray] = []
@@ -356,5 +363,6 @@ def empirical_distance_law(
     """
     from .runner import _call, parallel_map  # runner imports this module
 
+    workers = _integer(workers, "workers", 1)
     blocks = parallel_map(_call, distance_jobs(p, k1, k2, reps, seed), workers)
     return DistanceLaw.from_samples([d for blk in blocks for d in blk])

@@ -5,6 +5,7 @@ tag, block index), derived statelessly and bit-exactly on any platform.
 `replicate_blocks` alone indexes them: iid replicates run in blocks of a
 size fixed by the stage, block b on (seed, tag, b), so results never
 depend on worker count.  A one-stream stage is block 0, (seed, tag).
+`_generator` is the one place a seed becomes a numpy Generator.
 """
 
 from __future__ import annotations
@@ -45,8 +46,17 @@ def derive_seed(master: int, tag: str, replicate: int = 0) -> int:
     return z
 
 
+def _generator(seed) -> np.random.Generator:
+    """The stream of a sampler's `seed`: a numpy Generator passes
+    through, to be advanced by the draw; anything else must be an
+    integer >= 0 and seeds a fresh Generator."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(_integer(seed, "seed", 0))
+
+
 def _run_block(fn, seed: int, tag: str, block: int, count: int):
-    return fn(np.random.default_rng(derive_seed(seed, tag, block)), count)
+    return fn(_generator(derive_seed(seed, tag, block)), count)
 
 
 def replicate_blocks(fn, reps: int, block: int, seed: int, tag: str) -> list:

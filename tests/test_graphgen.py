@@ -802,3 +802,22 @@ class TestDistanceLaw:
         assert rows[-1] == ("inf", 2)
         back = DistanceLaw.from_rows(rows)
         assert back == law
+
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            ([("1", "-5"), ("2", "6"), ("inf", "0")], "negative count"),
+            ([("1", "3"), ("inf", "-1")], "negative count"),
+            ([("-1", "2"), ("inf", "0")], "negative distance"),
+            ([("1", "0"), ("inf", "0")], "no samples"),
+        ],
+    )
+    def test_impossible_tables_rejected(self, rows, want):
+        # a distances.csv read back must be a law: counts and distances
+        # nonnegative, at least one sample
+        with pytest.raises(ValidationError, match=want):
+            DistanceLaw.from_rows(rows)
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValidationError, match="no samples"):
+            DistanceLaw.from_samples([])

@@ -898,3 +898,16 @@ class TestExportedNames:
         assert sorted(set(igdist.__all__) - read - _ORACLES) == []
         # an oracle that gains a reader leaves the exemption list
         assert _ORACLES <= set(igdist.__all__) - read
+
+
+class TestOneSeedRule:
+    def test_only_seeding_builds_a_generator(self):
+        # seeding._generator is the one rule that turns a seed into a
+        # stream: no other module of the package names default_rng
+        where = set()
+        for f in (ROOT / "src" / "igdist").glob("*.py"):
+            for node in ast.walk(ast.parse(f.read_text())):
+                # a Name, an Attribute, or an imported alias
+                if "default_rng" in {getattr(node, a, None) for a in ("id", "attr", "name")}:
+                    where.add(f.name)
+        assert where == {"seeding.py"}

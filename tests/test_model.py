@@ -15,6 +15,7 @@ from igdist import (
     bpsim,
     degree_bound,
     derived_scalars,
+    graphgen,
     identity_report,
     mean_matrices,
     perron,
@@ -480,10 +481,12 @@ _INTEGER_ARGS = {
     "simulate_batch.population_cap": (
         lambda v: bpsim.simulate_batch(_DEAD, 0, 2, 2, 1, population_cap=v), 1
     ),
+    "simulate_batch.seed": (lambda v: bpsim.simulate_batch(_P20, 0, 2, 2, v), 0),
     "w_sample.horizon": (lambda v: bpsim.w_sample(_P20, _SPEC20, 0, v, 1), 1),
     "w_sample.population_cap": (
         lambda v: bpsim.w_sample(_DEAD, _SPEC20, 0, 2, 1, population_cap=v), 1
     ),
+    "w_sample.seed": (lambda v: bpsim.w_sample(_P20, _SPEC20, 0, 2, v), 0),
     "extinction_frequency.horizon": (
         lambda v: bpsim.extinction_frequency(_P20, 0, v, 5, 1), 0
     ),
@@ -500,14 +503,23 @@ _INTEGER_ARGS = {
     "labeled_growth.population_cap": (
         lambda v: bpsim.labeled_growth(_DEAD, 0, 0, 2, 1, population_cap=v), 1
     ),
+    "labeled_growth.seed": (lambda v: bpsim.labeled_growth(_P20, 0, 0, 1, v), 0),
     "ghost_scaling.depth": (lambda v: bpsim.ghost_scaling(_P20, _SPEC20, v, 2, 1), 1),
     "ghost_scaling.population_cap": (
         lambda v: bpsim.ghost_scaling(_DEAD, _SPEC20, 2, 2, 1, population_cap=v), 1
+    ),
+    "ghost_scaling.workers": (
+        lambda v: bpsim.ghost_scaling(_P20, _SPEC20, 1, 2, 1, workers=v), 1
     ),
     "survival_prob.max_iter": (  # any step is within tol=1 of the start
         lambda v: bpsim.survival_prob(_P20, tol=1.0, max_iter=v), 1
     ),
     "sample_U_tilde.count": (lambda v: approx.sample_U_tilde(_SPEC20, _POOLS, v, 1), 1),
+    "sample_U_tilde.seed": (lambda v: approx.sample_U_tilde(_SPEC20, _POOLS, 2, v), 0),
+    "sample_bipartite.seed": (lambda v: graphgen.sample_bipartite(_P20, v), 0),
+    "empirical_distance_law.workers": (
+        lambda v: graphgen.empirical_distance_law(_P20, 0, 0, 2, 1, workers=v), 1
+    ),
     "build_approx_law.offset": (
         lambda v: approx.build_approx_law(_SPEC20, _POOLS, [0, v]), None
     ),
@@ -522,6 +534,12 @@ _INTEGER_ARGS = {
         None,
     ),
 }
+
+
+# the samplers whose `seed` is an integer >= 0 or a numpy Generator
+_SAMPLERS = (
+    "simulate_batch", "w_sample", "labeled_growth", "sample_U_tilde", "sample_bipartite"
+)
 
 
 def _integer_cases():
@@ -549,6 +567,24 @@ class TestIntegerRule:
         monkeypatch.setattr(runner, "parallel_map", _no_workers)
         with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
             call(value)
+
+    @pytest.mark.parametrize("sampler", _SAMPLERS)
+    def test_a_string_is_no_seed(self, sampler):
+        call, _ = _INTEGER_ARGS[f"{sampler}.seed"]
+        with pytest.raises(ValidationError, match="^seed must be an integer, got '1'$"):
+            call("1")
+
+    @pytest.mark.parametrize("sampler", _SAMPLERS)
+    def test_a_generator_passes_through(self, sampler):
+        # the sampler draws from the caller's Generator, which it
+        # advances, exactly what it draws from the same integer seed
+        call, _ = _INTEGER_ARGS[f"{sampler}.seed"]
+        g = np.random.default_rng(7)
+        assert seeding._generator(g) is g
+        start = g.bit_generator.state
+        drawn = call(g)
+        assert g.bit_generator.state != start
+        assert pickle.dumps(drawn) == pickle.dumps(call(7))
 
 
 def _no_workers(fn, args_list, workers):
