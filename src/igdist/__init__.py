@@ -17,7 +17,6 @@ from .model import (
     mean_matrices,
     perron,
     rank1_build,
-    second_modulus,
 )
 from .graphgen import (
     BipartiteGraph,
@@ -62,7 +61,6 @@ __all__ = [
     "SpectralData",
     "mean_matrices",
     "perron",
-    "second_modulus",
     "derived_scalars",
     "identity_report",
     "rank1_build",

@@ -225,64 +225,60 @@ def mean_matrices(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return M_X, M_Y
 
 
-def _check_primitive(M: np.ndarray) -> None:
-    """Reject matrices whose support S is reducible or periodic.
+def _spectrum(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and orthonormal eigenvectors of
+    S = diag(n)^1/2 A diag(n)^1/2, from one symmetric eigensolve.
 
-    S is irreducible iff S + S^2 + ... + S^K has no zero entry, and an
-    irreducible S is aperiodic iff S^((K-1)^2+1) > 0 (Wielandt's bound on
-    the exponent of a primitive matrix); both in Boolean arithmetic.
+    M_X = A diag(n) with A = P diag(m) P^T symmetric, so M_X is similar
+    to the positive semidefinite S: the spectra agree, and v is an
+    eigenvector of S iff sqrt(n) * v is a left and v / sqrt(n) a right
+    eigenvector of M_X.  S_kl = A_kl sqrt(n_k n_l) in floats, where
+    sqrt(n_k n_k) rounds back to n_k, keeps the diagonal A_kk n_k the
+    float that M_X holds.
     """
-    K = M.shape[0]
-    S = M > 0.0
-    reach = S @ np.linalg.matrix_power(S | np.eye(K, dtype=bool), K - 1)
-    if not reach.all():
+    A = (p.P * p.m) @ p.P.T
+    n = p.n.astype(np.float64)
+    return np.linalg.eigh(A * np.sqrt(np.outer(n, n)))
+
+
+def _perron(p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues of M_X, ascending, with its left and right Perron
+    vectors normalized as `perron` returns them.
+
+    M_X is irreducible iff the type graph (k ~ l when p_kj p_lj > 0 for
+    some j) is connected, checked by a Boolean power of its adjacency;
+    a connected graph has a loop at every type, so M_X is then primitive.
+    """
+    B = p.P > 0.0
+    if not np.linalg.matrix_power(B @ B.T, p.K).all():
         raise ValidationError("reducible matrix")
-    if not np.linalg.matrix_power(S, (K - 1) ** 2 + 1).all():
-        raise ValidationError("periodic matrix")
+    values, vectors = _spectrum(p)
+    v, root = np.abs(vectors[:, -1]), np.sqrt(p.n)
+    mu = root * v
+    mu = mu / mu.sum()
+    nu = v / root
+    return values, mu, nu / (mu @ nu)
 
 
-def _dominant(A: np.ndarray) -> tuple[float, np.ndarray]:
-    """Eigenvalue of A with the largest real part and the moduli of its
-    eigenvector, from one dense eigendecomposition."""
-    values, vectors = np.linalg.eig(A)
-    i = int(np.argmax(values.real))
-    return float(values[i].real), np.abs(vectors[:, i].real)
+def perron(p: ModelParams) -> tuple[float, np.ndarray, np.ndarray]:
+    """Growth rate tau of p, the Perron root of M_X, with its left and
+    right eigenvectors.
 
-
-def perron(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Dominant eigenvalue with left/right eigenvectors.
-
-    Returns (tau, left, right) with ||left||_1 = 1, left @ right = 1 and
-    all entries positive.  Requires an irreducible aperiodic matrix.
+    Returns (tau, mu, nu) with ||mu||_1 = 1, mu @ nu = 1 and all entries
+    positive.  A disconnected type graph raises ValidationError.
     """
-    M = np.asarray(M, dtype=np.float64)
-    K = M.shape[0]
-    if M.shape != (K, K):
-        raise ValidationError("matrix must be square")
-    if (M < 0).any():
-        raise ValidationError("matrix must be nonnegative")
-    _check_primitive(M)
-    tau, right = _dominant(M)
-    _, left = _dominant(M.T)
-    left = left / left.sum()
-    right = right / (left @ right)
-    return tau, left, right
+    values, mu, nu = _perron(p)
+    return float(values[-1]), mu, nu
 
 
-def second_modulus(
-    M_X: np.ndarray, tau: float, nu: np.ndarray, mu: np.ndarray
-) -> tuple[float, float, float]:
-    """Modulus of the second eigenvalue, plus gamma and theta.
-
-    The deflated matrix M_X - tau * outer(nu, mu) drops the dominant
-    eigenvalue; its spectral radius is |lambda_2|.  The dominant
-    eigenvalue of the deflation can be a complex pair, so the radius is
-    taken from the dense spectrum rather than a vector iteration.
-    """
+def derived_scalars(p: ModelParams) -> SpectralData:
+    """Compute the full spectral summary of a model."""
+    M_X, M_Y = mean_matrices(p)
+    values, mu, nu = _perron(p)
+    tau = float(values[-1])
     if tau <= 1.0:
         raise ValidationError("tau <= 1: supercritical regime required")
-    deflated = M_X - tau * np.outer(nu, mu)
-    lambda2_mod = float(np.abs(np.linalg.eigvals(deflated)).max())
+    lambda2_mod = float(np.abs(values[:-1]).max(initial=0.0))
     if lambda2_mod < 1e-13 * tau:
         lambda2_mod = 0.0
     gamma = max(tau, lambda2_mod**2)
@@ -293,15 +289,7 @@ def second_modulus(
     # is its floor (clamped at 0) or the next integer.
     ratio = math.sqrt(gamma) / tau
     s = max(0, math.floor(-1.0 / math.log(ratio) - 1.0))
-    theta = max((t + 1) * ratio**t for t in (s, s + 1))
-    return lambda2_mod, gamma, float(theta)
-
-
-def derived_scalars(p: ModelParams) -> SpectralData:
-    """Compute the full spectral summary of a model."""
-    M_X, M_Y = mean_matrices(p)
-    tau, mu, nu = perron(M_X)
-    lambda2_mod, gamma, theta = second_modulus(M_X, tau, nu, mu)
+    theta = float(max((t + 1) * ratio**t for t in (s, s + 1)))
 
     n = p.n_total
     m = p.m_total
@@ -417,8 +405,7 @@ def degree_bound(p: ModelParams) -> tuple[float, float, float]:
     the bound is sum_k n_k D_k^2 / m and is attained when p_kj does not
     depend on j.
     """
-    M_X, _ = mean_matrices(p)
-    tau, _, _ = perron(M_X)
+    tau, _, _ = perron(p)
     D = p.P @ p.m
     s_b2 = float(np.sum(p.n * D**2))
     bound = s_b2 / p.m_total

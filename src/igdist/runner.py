@@ -30,7 +30,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError
 from .graphgen import DistanceLaw, distance_jobs, empirical_distance_law
 from .model import (
-    _is_integer, derived_scalars, identity_report, mean_matrices, perron, rank1_build,
+    _is_integer, _spectrum, derived_scalars, identity_report, perron, rank1_build,
 )
 from .seeding import derive_seed
 
@@ -391,8 +391,7 @@ _COMPARE_HEADER = [
 
 
 def _run_compare(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
-    M_X, _ = mean_matrices(cfg.params)
-    if np.abs(np.linalg.eigvals(M_X)).max() <= 1.0:
+    if _spectrum(cfg.params)[0][-1] <= 1.0:
         # rho(M_X) <= 1, no type survives: the approximation is all
         # defect, so only the infinite-distance row is checkable
         law = _run_graph_dist(cfg, w, workers)
@@ -436,8 +435,7 @@ def _run_rank1(cfg: ExperimentConfig, w: RunWriter, workers: int) -> None:
     params, tau_cf, mu_cf, nu_cf = rank1_build(
         cfg.rank1, cfg.params.n, cfg.params.m
     )
-    M_X, _ = mean_matrices(params)
-    tau_pi, mu_pi, nu_pi = perron(M_X)
+    tau_pi, mu_pi, nu_pi = perron(params)
     rows = [("tau", tau_cf, tau_pi, abs(tau_cf - tau_pi) / tau_pi)]
     for k in range(params.K):
         rows.append(

@@ -25,7 +25,6 @@ from igdist import (
     identity_report,
     labeled_growth,
     lambda_value,
-    mean_matrices,
     p_no_collision_exact,
     perron,
     rank1_build,
@@ -58,8 +57,7 @@ def random_supercritical(rng):
     m = rng.integers(2, 10_001, size=J)
     P = rng.uniform(0.05, 1.0, size=(K, J))
     params = ModelParams(n=n, m=m, P=P)
-    M_X, _ = mean_matrices(params)
-    tau, _, _ = perron(M_X)
+    tau, _, _ = perron(params)
     target = float(rng.uniform(1.3, 8.0))
     return ModelParams(n=n, m=m, P=np.minimum(P * math.sqrt(target / tau), 1.0))
 
@@ -90,8 +88,7 @@ def test_criterion_02_rank1_agreement():
         n = rng.integers(2, 5001, K)
         m = rng.integers(2, 5001, J)
         params, tau_cf, mu_cf, nu_cf = rank1_build(r, n, m)
-        M_X, _ = mean_matrices(params)
-        tau, mu, nu = perron(M_X)
+        tau, mu, nu = perron(params)
         worst = max(
             worst,
             abs(tau - tau_cf) / tau,

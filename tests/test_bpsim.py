@@ -345,17 +345,18 @@ class TestConditionedPool:
 
     def test_pools_bytes_pinned(self, scalar2, scalar2_spec, two_by_two, two_by_two_spec):
         # sha256 of the pools' bytes, recorded before `w_sample` ran the
-        # lone replicate on its own
+        # lone replicate on its own; the 2x2 pools again once nu came
+        # from the symmetric eigensolve, which moved them by an ulp
         want = {
             (1, None): "b4de3db729708588d79a27b9bf3cb5668a7714a3f01ee1245d6216a79e84dff7",
             (2, None): "98a8e505624cc7ce368a35cdcd82091a181560bd1830201c1f97ed1350602314",
             (3, None): "65337e191dce469b04a74b133406d1cc6a25ea6b2e4fd99cce30b6563abd9590",
-            (1, 0): "123f97a44103a460818a31fda0f78380a3071f06bd63a31061da82c5479c464b",
-            (1, 1): "d09af4f5a27860ac13098f36ff1a2b44a49f13e106ff6e5b47443cfc3540d3d4",
-            (2, 0): "09f934c1b845c518d92aff030f97861e69a916bdcf673ff0a9633c5104c33e22",
-            (2, 1): "febb5711e843518ae261352d0703716e3fd62ece5edf225bd5097f65e91c7d74",
-            (3, 0): "0c6e8243e9021e192f605255632e611ff1cd750554071a06ab91226a47053409",
-            (3, 1): "6ef580b8647990ce148bd92866ff9e7582743a810a46f9635ed6e801db90215d",
+            (1, 0): "bf866e299283b5c974069bc909b1b33d98e9cd7db8703525e8bb0e67cd1837e6",
+            (1, 1): "4dd631d87f5c61b050babd9b40cbe45f14218e0428dcda54eb5dfedddd724535",
+            (2, 0): "db1dbf191cd06621c999a4c2acc06b50554a5b883003fd49f8bdfd58ecdd8495",
+            (2, 1): "643e81c23e58faa9c3b98adc5eb10f6ab25602c7cd973be0a0bf43cd06c947c6",
+            (3, 0): "b15be76c12a669954f2b6f49c6db5c587c4d281d34b855c51da17ba0a614c527",
+            (3, 1): "e27c5215c2031f775c519ced7c783f8e45f61888208f97b583c50ae4aec8d0c6",
         }
         for (seed, start), hexdigest in want.items():
             if start is None:  # scalar2 at the headline horizon

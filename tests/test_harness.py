@@ -555,8 +555,10 @@ class TestRun:
         # 2x2 fixture, recorded before the graph sampler built its CSR in
         # place; `ghosts` and `coincidence` (a scheme that takes the
         # Monte Carlo path) were recorded before the subset draw returned
-        # keys.  The manifest lists the same digests.  A change that
-        # alters a random stream on purpose records them again.
+        # keys.  The W pools were recorded again once nu came from the
+        # symmetric eigensolve, which moved their values by an ulp.  The
+        # manifest lists the same digests.  A change that alters a random stream on purpose
+        # records them again.
         doc = dict(
             MINIMAL, k1=1, k2=2, seed=2424,
             model={"n": [300, 400], "m": [350, 450],
@@ -566,8 +568,8 @@ class TestRun:
         distances = "3cc3a8beb0fbc22188a7dd261b1a0db9cfd7b5223d835f893b172fba561727f7"
         pools = {
             "survival.csv": "5d65d3eb0a1f074ec22f8332d46e19b31fc9d820447bc7f6ce0636b1c15fa465",
-            "wpool_a.csv": "d1773607eba301b524a3d42d459199da1ba075d3243f401af26f40ac90b3e8e0",
-            "wpool_b.csv": "8b1ed2ebf8431005fe4cc99a863a99daa1d026a5bb5c6ef72e044d54639ff25a",
+            "wpool_a.csv": "95b1ff162a492c0528201aca8c0057074b32611751a4764815e4871aa0bbcf33",
+            "wpool_b.csv": "56e21bbd339ff24d30403bc20dbdb6c6dcea142ef67421d9c05826b94fefe535",
         }
         approx = "f6b0ebfff6bb3b33d06625c4c783de0e365fbd92f4b92c78abac03ebb87330d7"
         want = {
@@ -855,6 +857,21 @@ class TestCompareResults:
         assert runs[0]["stdout"] == f"igdist: wrote graph-dist results to {tool.OUT}\n"
         assert tool._differences(runs[0], runs[1]) == []
         assert tool._differences(runs[0], runs[2]) == ["manifest", "distances.csv"]
+
+    def test_sizes_a_difference(self, tool):
+        csv = b"u,x\n1,0.1\n2,inf\n"
+        assert tool._size(csv, csv) == "max abs 0, max rel 0"
+        assert tool._size(csv, csv.replace(b"0.1", b"0.10000000000000002")) == (
+            "max abs 1.39e-17, max rel 1.39e-16"
+        )
+        assert tool._size(csv, csv.replace(b"inf", b"7")) == (
+            "max abs 0, max rel 0, 1 non-numeric cells"
+        )
+        assert tool._size(csv, csv + b"3,0.5\n") == "cell counts differ"
+        doc = b'{\n  "tau": 2.0,\n  "mu": [\n    0.25,\n    0.75\n  ]\n}\n'
+        assert tool._size(doc, doc.replace(b"0.75", b"0.5")) == (
+            "max abs 0.25, max rel 0.333"
+        )
 
 
 class TestBenchmarkGuard:

@@ -21,7 +21,6 @@ from igdist import (
     perron,
     rank1_build,
     runner,
-    second_modulus,
     seeding,
 )
 from igdist.errors import ValidationError
@@ -35,8 +34,7 @@ def random_supercritical(rng, target_tau=None):
     m = rng.integers(2, 10_001, size=J)
     P = rng.uniform(0.05, 1.0, size=(K, J))
     params = ModelParams(n=n, m=m, P=P)
-    M_X, _ = mean_matrices(params)
-    tau, _, _ = perron(M_X)
+    tau, _, _ = perron(params)
     target = target_tau if target_tau else float(rng.uniform(1.3, 8.0))
     P = np.minimum(P * math.sqrt(target / tau), 1.0)
     return ModelParams(n=n, m=m, P=P)
@@ -189,16 +187,59 @@ class TestMeanMatrices:
         assert (M_X == 0).all() and (M_Y == 0).all()
 
 
+def _general_solve(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Reference spectral solve that treats M as an arbitrary matrix:
+    tau and the eigenvectors from `eig` of M and M^T, normalized as
+    `perron` normalizes them, and |lambda_2| as the spectral radius of
+    the deflation M - tau nu mu^T, taken from its dense spectrum."""
+
+    def dominant(A):
+        values, vectors = np.linalg.eig(A)
+        i = int(np.argmax(values.real))
+        return float(values[i].real), np.abs(vectors[:, i].real)
+
+    tau, nu = dominant(M)
+    _, mu = dominant(M.T)
+    mu = mu / mu.sum()
+    nu = nu / (mu @ nu)
+    lambda2 = float(np.abs(np.linalg.eigvals(M - tau * np.outer(nu, mu))).max())
+    return tau, mu, nu, lambda2
+
+
+def _oracle_models() -> list[ModelParams]:
+    """200 seeded random models with K, J <= 4, n and m log-uniform over
+    10..10^7, a quarter of the p_kj zero (so some type graphs are
+    disconnected), and P scaled towards a tau drawn from [1.5, 20]."""
+    rng = np.random.default_rng(3201)
+    models = []
+    for _ in range(200):
+        K, J = (int(x) for x in rng.integers(1, 5, size=2))
+        n = np.rint(10.0 ** rng.uniform(1.0, 7.0, size=K)).astype(np.int64)
+        m = np.rint(10.0 ** rng.uniform(1.0, 7.0, size=J)).astype(np.int64)
+        P = rng.uniform(0.05, 1.0, size=(K, J)) * (rng.random((K, J)) >= 0.25)
+        tau = float(np.abs(np.linalg.eigvals(mean_matrices(ModelParams(n, m, P))[0])).max())
+        if tau > 0.0:
+            P = np.minimum(P * math.sqrt(float(rng.uniform(1.5, 20.0)) / tau), 1.0)
+        models.append(ModelParams(n=n, m=m, P=P))
+    return models
+
+
+_ORACLE_MODELS = _oracle_models()
+
+
+def _rel(x, ref) -> float:
+    return float(np.abs(np.asarray(x) - ref).max() / np.abs(ref).max())
+
+
 class TestPerron:
-    def test_scalar(self):
-        tau, left, right = perron(np.array([[4.0]]))
+    def test_scalar(self, scalar4):
+        tau, left, right = perron(scalar4)
         assert tau == pytest.approx(4.0, rel=1e-12)
         assert left[0] == pytest.approx(1.0) and right[0] == pytest.approx(1.0)
 
     def test_rank1_closed_form(self, rank1_fixture):
         _, params, tau_cf, mu_cf, nu_cf = rank1_fixture
-        M_X, _ = mean_matrices(params)
-        tau, mu, nu = perron(M_X)
+        tau, mu, nu = perron(params)
         assert tau == pytest.approx(4.9, rel=1e-10)
         assert tau == pytest.approx(tau_cf, rel=1e-8)
         assert np.allclose(mu, mu_cf, rtol=1e-8)
@@ -207,43 +248,93 @@ class TestPerron:
 
     def test_normalization_and_residuals(self, two_by_two):
         M_X, _ = mean_matrices(two_by_two)
-        tau, mu, nu = perron(M_X)
+        tau, mu, nu = perron(two_by_two)
         assert abs(mu.sum() - 1.0) < 1e-12
         assert abs(mu @ nu - 1.0) < 1e-12
         assert (mu > 0).all() and (nu > 0).all()
         assert np.abs(mu @ M_X - tau * mu).max() <= 1e-10 * tau
         assert np.abs(M_X @ nu - tau * nu).max() <= 1e-10 * tau
 
-    def test_periodic_rejected(self):
-        with pytest.raises(ValidationError, match="periodic"):
-            perron(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        # the 3-cycle 1 -> 2 -> 3 -> 1 has period 3
-        with pytest.raises(ValidationError, match="periodic"):
-            perron(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
-
     def test_reducible_rejected(self):
-        with pytest.raises(ValidationError, match="reducible"):
-            perron(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        with pytest.raises(ValidationError, match="reducible"):
-            perron(np.array([[0.0]]))
-        # type 3 reaches types 1 and 2, but neither reaches it back
-        with pytest.raises(ValidationError, match="reducible"):
-            perron(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]))
+        disconnected = [
+            ModelParams(n=[5], m=[4], P=[[0.0]]),
+            ModelParams(n=[5, 5], m=[4], P=[[0.0], [0.0]]),
+            # types 1 and 2 share only object 1, type 3 only object 2
+            ModelParams(
+                n=[5, 6, 7], m=[4, 3], P=[[0.5, 0.0], [0.25, 0.0], [0.0, 0.75]]
+            ),
+        ]
+        for p in disconnected:
+            with pytest.raises(ValidationError, match="reducible"):
+                perron(p)
+            with pytest.raises(ValidationError, match="reducible"):
+                derived_scalars(p)
 
-    def test_wielandt_matrix_accepted(self):
-        # cycle 1 -> 2 -> 3 -> 1 plus the chord 3 -> 2: primitive, with
-        # exponent exactly (K-1)^2 + 1 = 5, the largest possible for K = 3
-        M = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        S = M > 0
-        assert not np.linalg.matrix_power(S, 4).all()
-        assert np.linalg.matrix_power(S, 5).all()
-        tau, mu, nu = perron(M)
-        # tau is the real root of x^3 = x + 1 (the plastic number)
-        assert tau**3 == pytest.approx(tau + 1.0, rel=1e-14)
-        assert abs(mu.sum() - 1.0) < 1e-14 and abs(mu @ nu - 1.0) < 1e-14
-        assert (mu > 0).all() and (nu > 0).all()
-        assert np.abs(mu @ M - tau * mu).max() <= 1e-14 * tau
-        assert np.abs(M @ nu - tau * nu).max() <= 1e-14 * tau
+    @pytest.mark.parametrize(
+        "fixture", ["scalar2", "scalar4", "two_by_two", "rank1_fixture"]
+    )
+    def test_fixtures_match_general_solve(self, request, fixture):
+        p = request.getfixturevalue(fixture)
+        if fixture == "rank1_fixture":
+            p = p[1]
+        tau_ref, mu_ref, nu_ref, lambda2_ref = _general_solve(mean_matrices(p)[0])
+        tau, mu, nu = perron(p)
+        s = derived_scalars(p)
+        assert abs(tau - tau_ref) <= 1e-12 * tau_ref and s.tau == tau
+        assert _rel(mu, mu_ref) <= 1e-12 and _rel(nu, nu_ref) <= 1e-12
+        assert np.array_equal(s.mu, mu) and np.array_equal(s.nu, nu)
+        assert abs(s.lambda2_mod - lambda2_ref) <= 1e-12 * tau
+
+    def test_counts_past_the_int64_product(self):
+        # n_1 n_2 overflows int64, so S is built from float counts
+        p = ModelParams(n=[4 * 10**9, 3 * 10**9], m=[5 * 10**9], P=[[1e-9], [2e-9]])
+        tau_ref, mu_ref, nu_ref, _ = _general_solve(mean_matrices(p)[0])
+        tau, mu, nu = perron(p)
+        assert abs(tau - tau_ref) <= 1e-12 * tau_ref
+        assert _rel(mu, mu_ref) <= 1e-12 and _rel(nu, nu_ref) <= 1e-12
+
+    def test_random_models_match_general_solve(self):
+        accepted = 0
+        for p in _ORACLE_MODELS:
+            M_X, _ = mean_matrices(p)
+            try:
+                tau, mu, nu = perron(p)
+            except ValidationError:
+                # the support of M_X is reducible: S + ... + S^K has a
+                # zero entry
+                S = M_X > 0.0
+                reach = S @ np.linalg.matrix_power(S | np.eye(p.K, dtype=bool), p.K - 1)
+                assert not reach.all()
+                continue
+            accepted += 1
+            tau_ref, mu_ref, nu_ref, lambda2_ref = _general_solve(M_X)
+            assert abs(tau - tau_ref) <= 1e-12 * tau_ref
+            assert _rel(mu, mu_ref) <= 1e-12 and _rel(nu, nu_ref) <= 1e-12
+            s = derived_scalars(p)
+            assert (s.tau, s.mu.tolist(), s.nu.tolist()) == (tau, mu.tolist(), nu.tolist())
+            assert abs(s.lambda2_mod - lambda2_ref) <= 1e-12 * tau
+        assert 100 <= accepted < len(_ORACLE_MODELS)
+
+    def test_accepted_models_are_primitive(self):
+        # a connected type graph puts a loop at every type, so the
+        # support of M_X is primitive and reaches Wielandt's exponent
+        for p in _ORACLE_MODELS:
+            try:
+                perron(p)
+            except ValidationError:
+                continue
+            S = mean_matrices(p)[0] > 0.0
+            assert np.diag(S).all()
+            assert np.linalg.matrix_power(S, (p.K - 1) ** 2 + 1).all()
+
+
+def _two_type_family(r: float, N: int) -> ModelParams:
+    """n = m = (N, N) and P = (sqrt 2 / N) [[a, b], [b, a]] with
+    a, b = (1 +- sqrt r) / 2: M_X = 2 Q Q^T has eigenvalues 2 and 2r."""
+    a, b = (1.0 + math.sqrt(r)) / 2.0, (1.0 - math.sqrt(r)) / 2.0
+    return ModelParams(
+        n=[N, N], m=[N, N], P=(math.sqrt(2.0) / N) * np.array([[a, b], [b, a]])
+    )
 
 
 class TestSecondModulus:
@@ -255,38 +346,33 @@ class TestSecondModulus:
         assert s.theta == pytest.approx(1.0, abs=1e-14)
 
     def test_rank1_deflation_is_zero(self, rank1_fixture):
+        # a rank-1 M_X has no second eigenvalue above the clamp
         _, params, _, _, _ = rank1_fixture
-        M_X, _ = mean_matrices(params)
-        tau, mu, nu = perron(M_X)
-        l2, gamma, _ = second_modulus(M_X, tau, nu, mu)
-        assert l2 == 0.0
-        assert gamma == pytest.approx(4.9)
+        s = derived_scalars(params)
+        assert s.lambda2_mod == 0.0
+        assert s.gamma == pytest.approx(4.9)
 
-    def test_known_eigenvalue_pair(self):
-        # characteristic polynomial of [[4,1],[2.5,2.5]] is
-        # x^2 - 6.5x + 7.5 = (x - 5)(x - 1.5)
-        M = np.array([[4.0, 1.0], [2.5, 2.5]])
-        tau, mu, nu = perron(M)
-        assert tau == pytest.approx(5.0, rel=1e-10)
-        l2, gamma, _ = second_modulus(M, tau, nu, mu)
-        assert l2 == pytest.approx(1.5, rel=1e-9)
-        assert gamma == pytest.approx(5.0)
+    @pytest.mark.parametrize("N", [10**4, 10**6])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 0.9, 0.99])
+    def test_two_type_family(self, r, N):
+        s = derived_scalars(_two_type_family(r, N))
+        assert abs(s.tau - 2.0) <= 1e-12
+        assert abs(s.lambda2_mod - 2.0 * r) <= 1e-12
+        ratio = math.sqrt(s.gamma) / s.tau
+        assert s.theta == max((t + 1) * ratio**t for t in range(10**4))
 
     @pytest.mark.parametrize("r", [0.5, 2.0**-0.5, 0.9, 0.999])
     def test_theta_closed_form_matches_brute_force(self, r):
-        # with lambda_2 = 0, gamma = tau and r = sqrt(tau)/tau; r = 0.5
-        # ties at s = 0 and s = 1
-        tau = 1.0 / r**2
-        _, gamma, theta = second_modulus(
-            np.array([[tau]]), tau, np.array([1.0]), np.array([1.0])
-        )
-        ratio = math.sqrt(gamma) / tau
-        assert theta == max((s + 1) * ratio**s for s in range(10**5))
+        # a one-type model has lambda_2 = 0, so gamma = tau and
+        # r = sqrt(tau)/tau; r = 0.5 ties at s = 0 and s = 1
+        s = derived_scalars(ModelParams(n=[10**4], m=[10**4], P=[[1e-4 / r]]))
+        ratio = math.sqrt(s.gamma) / s.tau
+        assert s.theta == max((t + 1) * ratio**t for t in range(10**5))
 
     def test_subcritical_rejected(self):
         with pytest.raises(ValidationError, match="tau <= 1"):
-            second_modulus(
-                np.array([[0.5]]), 0.5, np.array([1.0]), np.array([1.0])
+            derived_scalars(
+                ModelParams(n=[100, 100], m=[100], P=[[0.001], [0.002]])
             )
 
 
@@ -392,8 +478,7 @@ class TestRank1:
             n = rng.integers(2, 3000, K)
             m = rng.integers(2, 3000, J)
             params, tau_cf, mu_cf, nu_cf = rank1_build(r, n, m)
-            M_X, _ = mean_matrices(params)
-            tau, mu, nu = perron(M_X)
+            tau, mu, nu = perron(params)
             assert tau == pytest.approx(tau_cf, rel=1e-8)
             assert np.allclose(mu, mu_cf, rtol=1e-8)
             assert np.allclose(nu, nu_cf, rtol=1e-8)
@@ -416,8 +501,7 @@ class TestRank1:
             P = params0.P + scale * delta
             assert (P >= 0).all() and (P <= 1).all()
             assert np.allclose(P @ w, (beta @ w) * alpha, rtol=1e-10)
-            M_X, _ = mean_matrices(ModelParams(n=n, m=m, P=P))
-            tau, _, _ = perron(M_X)
+            tau, _, _ = perron(ModelParams(n=n, m=m, P=P))
             assert tau >= tau0 - 1e-9
             if abs(tau - tau0) > 1e-9:
                 found_distinct += 1

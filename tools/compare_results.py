@@ -9,14 +9,18 @@ tree and each of `--workers 1` and `--workers 2`, both trees run
 two runs must agree on the exit code, on stdout and stderr (output
 directory and tree normalized), on every result file byte for byte,
 and on the manifest apart from its `started` and `finished` times.
-Prints one line per run and each difference; exits 1 when any run
-differs, 0 otherwise.
+Prints one line per run and each difference; under a run, one line per
+result file that differs in both trees, with the largest absolute and
+relative difference over its numeric cells (cells matched by position).
+Exits 1 when any run differs, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -58,6 +62,35 @@ def _differences(a: dict, b: dict) -> list[str]:
     return diffs
 
 
+def _size(a: bytes, b: bytes) -> str:
+    """How far two versions of a result file lie apart: the largest
+    absolute and relative difference over the numeric cells, matched by
+    position, and the count of differing cells that are not two finite
+    numbers.  Cells are the text split at whitespace, commas, brackets
+    and colons, so a CSV row and a JSON document both split into values."""
+    cells = [re.split(r"[\s,\[\]{}:]+", x.decode()) for x in (a, b)]
+    if len(cells[0]) != len(cells[1]):
+        return "cell counts differ"
+    largest_abs = largest_rel = 0.0
+    other = 0
+    for x, y in zip(*cells):
+        if x == y:
+            continue
+        try:
+            fx, fy = float(x), float(y)
+        except ValueError:
+            other += 1
+            continue
+        d = abs(fx - fy)
+        if not math.isfinite(d):
+            other += 1
+        elif d > 0.0:
+            largest_abs = max(largest_abs, d)
+            largest_rel = max(largest_rel, d / max(abs(fx), abs(fy)))
+    size = f"max abs {largest_abs:.3g}, max rel {largest_rel:.3g}"
+    return size + (f", {other} non-numeric cells" if other else "")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -85,6 +118,10 @@ def main(argv: list[str]) -> int:
                         f"{len(runs[0]['files'])} result files, {status}",
                         flush=True,
                     )
+                    a, b = (r["files"] for r in runs)
+                    for file in diffs:
+                        if file in a and file in b:
+                            print(f"  {file}: {_size(a[file], b[file])}", flush=True)
     total = len(configs) * len(SUBCOMMANDS) * len(WORKERS)
     print(f"{total - failures} of {total} runs identical")
     return 1 if failures else 0
